@@ -1,7 +1,7 @@
 // Core microbenchmarks (google-benchmark): the building blocks whose speed
 // bounds how much simulated traffic the experiment harnesses can push —
 // event engine, packet pool, fabric hot path, flow hashing, histogram
-// recording, P4 pipeline processing, and the block cipher.
+// recording, and the block cipher.
 //
 // Two things distinguish this from a stock benchmark file:
 //  * A global allocation counter (operator new/delete overrides below)
@@ -25,7 +25,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/crc32.h"
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "gbench_main.h"
@@ -34,8 +33,6 @@
 #include "net/topology.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
-#include "p4/solar_program.h"
-#include "proto/headers.h"
 #include "sa/crypto.h"
 #include "sim/engine.h"
 
@@ -358,30 +355,6 @@ void BM_HistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramRecord);
 
-void BM_P4ReadRxPipeline(benchmark::State& state) {
-  auto pipe = p4::make_read_rx_pipeline(p4::SolarProgramConfig{});
-  pipe.table("addr")->add_entry({1, 0}, "dma", {0x1000});
-  Rng rng(2);
-  std::vector<std::uint8_t> payload(proto::kBlockSize);
-  for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next());
-  proto::RpcHeader rpc;
-  rpc.rpc_id = 1;
-  rpc.msg_type = proto::RpcMsgType::kReadResponse;
-  proto::EbsHeader ebs;
-  ebs.block_len = proto::kBlockSize;
-  ebs.payload_crc = crc32_raw(payload);
-  ebs.op = proto::EbsOp::kRead;
-  const auto bytes = encode_solar_packet(rpc, ebs, payload);
-  for (auto _ : state) {
-    p4::PacketCtx ctx;
-    ctx.bytes = bytes;
-    benchmark::DoNotOptimize(pipe.process(ctx));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bytes.size()));
-}
-BENCHMARK(BM_P4ReadRxPipeline);
-
 void BM_BlockCipher4K(benchmark::State& state) {
   sa::BlockCipher cipher(0xFEED);
   std::vector<std::uint8_t> data(4096, 0xAB);
@@ -451,22 +424,6 @@ void BM_ObsSpanRecord(benchmark::State& state) {
               : 0.0);
 }
 BENCHMARK(BM_ObsSpanRecord);
-
-void BM_SolarPacketParse(benchmark::State& state) {
-  Rng rng(3);
-  std::vector<std::uint8_t> payload(proto::kBlockSize);
-  for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next());
-  proto::RpcHeader rpc;
-  rpc.msg_type = proto::RpcMsgType::kWriteRequest;
-  proto::EbsHeader ebs;
-  ebs.block_len = proto::kBlockSize;
-  const auto bytes = encode_solar_packet(rpc, ebs, payload);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(proto::parse_solar_packet(bytes));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SolarPacketParse);
 
 }  // namespace
 }  // namespace repro

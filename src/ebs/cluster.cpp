@@ -70,14 +70,6 @@ ComputeNode::ComputeNode(Cluster& cluster, int index, net::Nic& nic)
   if (p.qos.enabled) {
     admission_ = std::make_unique<qos::NodeAdmission>(
         cluster.engine(), cluster.slos_, cluster.qos_, p.qos);
-    // Cluster-level admission reads/writes one shared counter per I/O, so
-    // it is only wired on single-shard builds (a barrier per doorbell would
-    // serialize the simulation; cross-shard reads would break determinism).
-    if (p.placement.enabled && p.placement.cluster_admission &&
-        (cluster.sharded_ == nullptr || cluster.sharded_->shards() <= 1)) {
-      admission_->set_cluster_gate(&cluster.view_,
-                                   p.placement.cluster_inflight_limit);
-    }
   }
   // EC striping layer between admission and the stack. Every sub-I/O it
   // issues (parity RMW, degraded decode, rebuild) is guest-shaped traffic

@@ -1,19 +1,16 @@
 // ClusterView: the cluster-level state the placement & repair control plane
-// shares across nodes — per-server rack membership and health, per-rack
-// placement pressure (fragment counts), and the fleet-wide inflight count
-// the optional cluster admission gate reads.
+// shares across nodes — per-server rack membership and health, and per-rack
+// placement pressure (fragment counts).
 //
 // Write discipline (this is shared state on sharded builds):
 //  * rack membership and per-rack fragment counts are written only at
 //    cluster-construction / create_vd time, before any worker thread runs;
 //  * health updates arrive through the cluster's health listener, which
 //    routes them over `ShardedEngine::post_global` when shards > 1 — the
-//    same every-shard-quiescent barrier the rebuild RemapFn uses;
-//  * the cluster inflight counter is mutated per-I/O and is therefore only
-//    wired on single-shard builds (see ebs::ComputeNode).
-// Readers (maintenance exposure ordering, admission) thus never race a
-// writer, and reads at a given simulated time are bit-deterministic at any
-// worker-thread count.
+//    same every-shard-quiescent barrier the rebuild RemapFn uses.
+// Readers (placement policies, maintenance exposure ordering) thus never
+// race a writer, and reads at a given simulated time are bit-deterministic
+// at any worker-thread count.
 #pragma once
 
 #include <cstdint>
@@ -59,17 +56,12 @@ class ClusterView {
     return lost;
   }
 
-  // --- cluster-wide admission load (single-shard, per-I/O writes) ---------
-  void add_inflight(int delta) { cluster_inflight_ += delta; }
-  int cluster_inflight() const { return cluster_inflight_; }
-
  private:
   std::map<net::IpAddr, int> racks_;
   std::map<net::IpAddr, bool> health_;
   std::vector<std::uint64_t> rack_fragments_;
   int num_racks_ = 0;
   int servers_down_ = 0;
-  int cluster_inflight_ = 0;
 };
 
 }  // namespace repro::placement

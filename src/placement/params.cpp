@@ -9,8 +9,6 @@ void write_placement_params(obs::JsonWriter& w, const PlacementParams& p) {
   w.begin_object();
   w.field("enabled", p.enabled);
   w.field("policy", to_string(p.policy));
-  w.field("cluster_admission", p.cluster_admission);
-  w.field("cluster_inflight_limit", p.cluster_inflight_limit);
   w.end_object();
 }
 
@@ -18,26 +16,13 @@ bool read_placement_params(const obs::JsonValue& v, PlacementParams* p) {
   if (v.type != obs::JsonValue::Type::kObject) return false;
   obs::json_bool(v, "enabled", &p->enabled);
   std::string policy;
-  if (obs::json_string(v, "policy", &policy) &&
-      !policy_from_string(policy, &p->policy)) {
-    return false;  // a typo'd policy must not quietly run the default
-  }
-  obs::json_bool(v, "cluster_admission", &p->cluster_admission);
-  double num = 0.0;
-  if (obs::json_number(v, "cluster_inflight_limit", &num)) {
-    p->cluster_inflight_limit = static_cast<int>(num);
-  }
-  return p->cluster_inflight_limit >= 1;
+  // A typo'd policy must not quietly run the default.
+  return !obs::json_string(v, "policy", &policy) ||
+         policy_from_string(policy, &p->policy);
 }
 
 bool placement_params_key_allowed(const std::string& key) {
-  static const char* const kKeys[] = {"enabled", "policy",
-                                      "cluster_admission",
-                                      "cluster_inflight_limit"};
-  for (const char* k : kKeys) {
-    if (key == k) return true;
-  }
-  return false;
+  return key == "enabled" || key == "policy";
 }
 
 }  // namespace repro::placement

@@ -21,12 +21,6 @@ struct PlacementParams {
   /// `enabled` exercises the policy plumbing while staying byte-identical
   /// to the inline layout — the back-compat arm CI byte-diffs.
   PolicyKind policy = PolicyKind::kLegacyRotated;
-  /// Optional cluster-level admission gate: nodes reject new I/O while the
-  /// fleet-wide inflight count (ClusterView aggregate) is at the limit.
-  /// Requires the qos subsystem (`qos.enabled`) and a single-shard build —
-  /// the per-I/O shared counter cannot cross shard barriers.
-  bool cluster_admission = false;
-  int cluster_inflight_limit = 256;
 };
 
 /// JSON round-trip (ScenarioSpec "placement" object). Mirrors

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "placement/cluster_view.h"
-
 namespace repro::qos {
 
 using transport::IoResult;
@@ -64,18 +62,6 @@ void NodeAdmission::submit(transport::IoRequest io,
     }
   }
 
-  // Cluster-level gate: a fleet at its aggregate inflight limit sheds new
-  // work at the doorbell regardless of this node's local predictors — the
-  // guaranteed-floor bypass applies the same way.
-  if (!reject && cluster_view_ != nullptr && cluster_limit_ > 0 &&
-      cluster_view_->cluster_inflight() >= cluster_limit_) {
-    reject = true;
-    if (slo.guaranteed_iops > 0.0 &&
-        t.predictor.admitted_rate(now) < slo.guaranteed_iops) {
-      reject = false;
-    }
-  }
-
   if (reject) {
     ++stats_.rejected[cls];
     engine_.at(now + params_.reject_latency,
@@ -93,7 +79,6 @@ void NodeAdmission::submit(transport::IoRequest io,
   node_predictor_.on_admit(now);
   ++t.inflight;
   ++node_inflight_;
-  if (cluster_view_ != nullptr) cluster_view_->add_inflight(1);
   const TimeNs target = slo.target_p99;
   const std::uint64_t vd = io.vd_id;
   pass(std::move(io),
@@ -101,7 +86,6 @@ void NodeAdmission::submit(transport::IoRequest io,
          Tenant& t = tenants_.find(vd)->second;
          --t.inflight;
          --node_inflight_;
-         if (cluster_view_ != nullptr) cluster_view_->add_inflight(-1);
          TimeNs latency =
              res.completed_at - now - res.trace.qos_wait_ns;
          if (latency < 0) latency = 0;
@@ -114,12 +98,6 @@ void NodeAdmission::submit(transport::IoRequest io,
          }
          done(std::move(res));
        });
-}
-
-void NodeAdmission::set_cluster_gate(placement::ClusterView* view,
-                                     int inflight_limit) {
-  cluster_view_ = view;
-  cluster_limit_ = inflight_limit;
 }
 
 void NodeAdmission::register_metrics(obs::Registry& reg,

@@ -32,10 +32,6 @@
 #include "sim/engine.h"
 #include "transport/message.h"
 
-namespace repro::placement {
-class ClusterView;
-}  // namespace repro::placement
-
 namespace repro::qos {
 
 class NodeAdmission : public obs::Resettable {
@@ -65,14 +61,6 @@ class NodeAdmission : public obs::Resettable {
     return stats_.slo_ok[0] + stats_.slo_ok[1];
   }
 
-  /// Optional cluster-level gate on top of the per-node predictors: while
-  /// the fleet-wide inflight count (ClusterView aggregate, maintained by
-  /// every node's admission layer) is at `inflight_limit`, new I/O is
-  /// rejected — except guaranteed tenants under their floor, exactly like
-  /// the per-node path. Single-shard runs only: the shared counter is
-  /// mutated on every admit/complete and cannot cross shard barriers.
-  void set_cluster_gate(placement::ClusterView* view, int inflight_limit);
-
   /// Publishes per-class admit/reject/SLO counters and the goodput series
   /// gauge (labels: node=<node>, class=<class>).
   void register_metrics(obs::Registry& reg, const std::string& node);
@@ -101,8 +89,6 @@ class NodeAdmission : public obs::Resettable {
   /// per-request history alone).
   LoadPredictor node_predictor_;
   int node_inflight_ = 0;
-  placement::ClusterView* cluster_view_ = nullptr;  ///< not owned; may be null
-  int cluster_limit_ = 0;
   Stats stats_;
 };
 

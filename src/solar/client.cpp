@@ -9,10 +9,6 @@
 
 namespace repro::solar {
 
-using proto::EbsHeader;
-using proto::EbsOp;
-using proto::RpcHeader;
-using proto::RpcMsgType;
 using transport::DataBlock;
 using transport::IoRequest;
 using transport::IoResult;

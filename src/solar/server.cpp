@@ -7,7 +7,6 @@
 
 namespace repro::solar {
 
-using proto::RpcMsgType;
 using transport::DataBlock;
 using transport::StorageStatus;
 

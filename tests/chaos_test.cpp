@@ -363,37 +363,44 @@ TEST(Harness, ChaosRunIsBitReproducible) {
   EXPECT_EQ(a.faults_applied, a.faults_reverted);
 }
 
-TEST(Harness, PlantedFailoverBugIsCaughtDeterministically) {
-  // One long silent ToR. Healthy SOLAR redraws paths and stays hang-free
-  // (Table 2's zero column); with failover disabled the flows stay pinned
-  // and the hang oracle must fire.
-  FaultPlan plan;
-  plan.name = "planted-bug";
+// One long silent ToR. Healthy SOLAR redraws paths and stays hang-free
+// (Table 2's zero column); with failover disabled the flows stay pinned
+// and the hang oracle must fire. The three checks are separate tests so
+// ctest can run them concurrently.
+HarnessConfig planted_bug_config(bool disable_failover) {
   FaultEvent e;
   e.at = ms(10);
   e.duration = ms(1500);
   e.kind = FaultKind::kDeviceSilent;
   e.target = {TargetKind::kStorageTor, 0, -1};
-  plan.events.push_back(e);
 
   HarnessConfig cfg = quick_config(ebs::StackKind::kSolar, 17);
-  cfg.plan = plan;
+  cfg.plan.name = "planted-bug";
+  cfg.plan.events.push_back(e);
   cfg.active = ms(1600);
   cfg.oracle.hang_oracle = true;
+  cfg.disable_solar_failover = disable_failover;
+  return cfg;
+}
 
-  const RunReport healthy = run_chaos(cfg);
+TEST(Harness, PlantedFailoverBugHealthyRunIsHangFree) {
+  const RunReport healthy = run_chaos(planted_bug_config(false));
   EXPECT_TRUE(healthy.ok())
       << healthy.violations.front().oracle << ": "
       << healthy.violations.front().detail;
+}
 
-  cfg.disable_solar_failover = true;
+TEST(Harness, PlantedFailoverBugIsCaughtDeterministically) {
+  const HarnessConfig cfg = planted_bug_config(true);
   const RunReport buggy = run_chaos(cfg);
   EXPECT_FALSE(buggy.ok());
   const RunReport buggy2 = run_chaos(cfg);
   EXPECT_EQ(buggy.signature(), buggy2.signature());  // fails the same way
+}
 
-  // And the repro minimizes to the single silent event.
-  const MinimizeResult min = minimize_plan(plan, [&](const FaultPlan& p) {
+TEST(Harness, PlantedFailoverBugMinimizesToSilentEvent) {
+  const HarnessConfig cfg = planted_bug_config(true);
+  const MinimizeResult min = minimize_plan(cfg.plan, [&](const FaultPlan& p) {
     HarnessConfig probe = cfg;
     probe.plan = p;
     return !run_chaos(probe).ok();

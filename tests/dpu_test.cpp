@@ -3,6 +3,7 @@
 #include "common/crc32.h"
 #include "dpu/dpu.h"
 #include "dpu/resources.h"
+#include "sa/crypto.h"
 
 namespace repro::dpu {
 namespace {
@@ -35,6 +36,11 @@ TEST(Fpga, EncryptionAppliedAfterCrc) {
   fpga.process_write_block(7, blk, /*encrypt=*/true);
   EXPECT_NE(blk.data, plain);                 // ciphertext on the wire
   EXPECT_EQ(blk.crc, crc32_raw(plain));       // CRC covers the plaintext
+
+  // The SEC stage is exactly the SA's block cipher keyed by (vd, lba).
+  auto expected = plain;
+  sa::BlockCipher(0xFEED).apply(7, blk.lba, expected);
+  EXPECT_EQ(blk.data, expected);
 
   // Read path: decrypt-then-check restores plaintext and passes.
   bool hw_ok = false;

@@ -2,7 +2,7 @@
 // algebra and its fallbacks, legacy-policy bit-identity against the inline
 // layout, params JSON round-trip + strict parsing through ScenarioSpec,
 // exposure-ordered rebuild drain on a live EC fleet, the rack-domain
-// durability-oracle variant, and the cluster-level admission gate.
+// durability-oracle variant.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,13 +18,11 @@
 #include "placement/cluster_view.h"
 #include "placement/params.h"
 #include "placement/policy.h"
-#include "qos/admission.h"
 #include "sa/segment_table.h"
 
 namespace repro::placement {
 namespace {
 
-using transport::IoCompleteFn;
 using transport::IoRequest;
 using transport::IoResult;
 using transport::OpType;
@@ -202,16 +200,12 @@ TEST(PlacementParamsJson, RoundTripsThroughScenario) {
   ebs::ScenarioSpec spec;
   spec.placement.enabled = true;
   spec.placement.policy = PolicyKind::kRackAwareSpread;
-  spec.placement.cluster_admission = true;
-  spec.placement.cluster_inflight_limit = 7;
   ebs::ScenarioSpec parsed;
   std::string error;
   ASSERT_TRUE(ebs::scenario_from_json(spec.to_json(), &parsed, &error))
       << error;
   EXPECT_TRUE(parsed.placement.enabled);
   EXPECT_EQ(parsed.placement.policy, PolicyKind::kRackAwareSpread);
-  EXPECT_TRUE(parsed.placement.cluster_admission);
-  EXPECT_EQ(parsed.placement.cluster_inflight_limit, 7);
 
   // Absent block = subsystem off = the historical spec.
   ebs::ScenarioSpec absent;
@@ -231,10 +225,11 @@ TEST(PlacementParamsJson, StrictParseRejectsTyposAndUnknownPolicies) {
   // Unknown policy spelling is an error, not legacy-by-accident.
   EXPECT_FALSE(ebs::scenario_from_json(
       R"({"placement":{"enabled":true,"policy":"rackaware"}})", &out, &error));
-  // The limit must stay positive.
+  // The removed cluster admission gate is an unknown key, not a no-op.
   EXPECT_FALSE(ebs::scenario_from_json(
-      R"({"placement":{"enabled":true,"cluster_inflight_limit":0}})", &out,
+      R"({"placement":{"enabled":true,"cluster_admission":true}})", &out,
       &error));
+  EXPECT_NE(error.find("cluster_admission"), std::string::npos) << error;
 }
 
 // ---------------------------------------------------------------------------
@@ -427,63 +422,6 @@ TEST(ExposureDrain, MostExposedSegmentsDrainFirst) {
     EXPECT_LE(log[i].exposure, log[i - 1].exposure)
         << "at-pop exposure increased at record " << i;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Cluster-level admission gate.
-
-TEST(ClusterAdmission, GateRejectsAtAggregateLimitWithGuaranteedBypass) {
-  sim::Engine eng;
-  qos::SloTable slos;
-  qos::SloSpec guaranteed;
-  guaranteed.guaranteed_iops = 1000.0;
-  guaranteed.cls = qos::SloClass::kGuaranteed;
-  slos.set(7, guaranteed);
-  sa::QosTable qtab;
-  qos::QosParams qp;
-  qp.enabled = true;
-  qp.early_reject = false;  // isolate the cluster gate
-  qos::NodeAdmission adm(eng, slos, qtab, qp);
-  ClusterView view;
-  adm.set_cluster_gate(&view, 2);
-
-  std::vector<IoCompleteFn> inflight;
-  auto pass = [&inflight](IoRequest, IoCompleteFn done) {
-    inflight.push_back(std::move(done));
-  };
-  auto make_io = [](std::uint64_t vd) {
-    IoRequest io;
-    io.vd_id = vd;
-    io.op = OpType::kRead;
-    io.len = 4096;
-    return io;
-  };
-  int rejected = 0;
-  auto done = [&rejected](IoResult res) {
-    if (res.status == StorageStatus::kRejected) ++rejected;
-  };
-
-  adm.submit(make_io(1), done, pass);
-  adm.submit(make_io(1), done, pass);
-  EXPECT_EQ(view.cluster_inflight(), 2);
-  // At the limit: best-effort traffic sheds at the doorbell...
-  adm.submit(make_io(1), done, pass);
-  eng.run();
-  EXPECT_EQ(rejected, 1);
-  EXPECT_EQ(view.cluster_inflight(), 2);
-  // ...but a guaranteed tenant under its floor still gets in.
-  adm.submit(make_io(7), done, pass);
-  EXPECT_EQ(view.cluster_inflight(), 3);
-
-  for (auto& fn : inflight) {
-    IoResult res;
-    res.status = StorageStatus::kOk;
-    res.completed_at = eng.now();
-    fn(std::move(res));
-  }
-  EXPECT_EQ(view.cluster_inflight(), 0);
-  EXPECT_EQ(adm.stats().admitted[0] + adm.stats().admitted[1], 3u);
-  EXPECT_EQ(adm.stats().rejected[0] + adm.stats().rejected[1], 1u);
 }
 
 }  // namespace

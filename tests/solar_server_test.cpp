@@ -13,7 +13,6 @@
 namespace repro::solar {
 namespace {
 
-using proto::RpcMsgType;
 using transport::DataBlock;
 
 struct ServerRig {
