@@ -6,6 +6,7 @@
 // measured notes.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -20,11 +21,8 @@
 
 namespace repro::bench {
 
-struct ClusterUnderTest {
-  std::unique_ptr<sim::Engine> engine;
-  std::unique_ptr<ebs::Cluster> cluster;
-  std::vector<std::uint64_t> vds;  ///< one per compute node
-};
+/// The engine, cluster and VDs a bench drives.
+using ClusterUnderTest = ebs::Scenario;
 
 /// The benches' canonical scenario: small fabric, one VD per compute node,
 /// placeholder payloads (byte-level work is covered by the unit/property
@@ -61,9 +59,7 @@ inline ClusterUnderTest make_cluster(ebs::ClusterParams params,
 /// Builds a cluster straight from a declarative scenario.
 inline ClusterUnderTest make_cluster(const ebs::ScenarioSpec& spec,
                                      obs::Obs* obs = nullptr) {
-  ebs::Scenario s = ebs::build_scenario(spec, obs);
-  return ClusterUnderTest{std::move(s.engine), std::move(s.cluster),
-                          std::move(s.vds)};
+  return ebs::build_scenario(spec, obs);
 }
 
 inline workload::SubmitFn submit_via(ebs::Cluster& cluster, int node) {
@@ -102,6 +98,27 @@ inline FioRunResult run_fio(ClusterUnderTest& c, workload::FioConfig cfg,
   // Drain stragglers so destructors run on a quiet engine.
   eng.run_until(eng.now() + ms(50));
   return res;
+}
+
+/// Order-dependent 64-bit hash step the benches fold their fingerprints
+/// with.
+inline std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+  h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
+  return h * 0xFF51AFD7ED558CCDull;
+}
+
+/// `n` deterministic xorshift bytes: the real payload of the cell `seed`
+/// names.
+inline std::vector<std::uint8_t> pattern(std::size_t n, std::uint64_t seed) {
+  std::vector<std::uint8_t> v(n);
+  std::uint64_t x = seed * 0x9E3779B97F4A7C15ull + 1;
+  for (auto& b : v) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<std::uint8_t>(x);
+  }
+  return v;
 }
 
 inline void print_header(const std::string& title, const std::string& paper) {

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "bench_util.h"
 #include "common/crc32.h"
 #include "ebs/scenario.h"
 #include "ec/maintenance.h"
@@ -41,6 +42,8 @@
 namespace {
 
 using namespace repro;
+using bench::mix;
+using bench::pattern;
 using transport::IoCompleteFn;
 using transport::IoRequest;
 using transport::IoResult;
@@ -59,23 +62,6 @@ struct ArmResult {
   double fg_p99_us = 0.0;
   std::uint64_t fingerprint = 0;
 };
-
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-  return h * 0xFF51AFD7ED558CCDull;
-}
-
-std::vector<std::uint8_t> pattern(std::size_t n, std::uint64_t seed) {
-  std::vector<std::uint8_t> v(n);
-  std::uint64_t x = seed * 0x9E3779B97F4A7C15ull + 1;
-  for (auto& b : v) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    b = static_cast<std::uint8_t>(x);
-  }
-  return v;
-}
 
 /// The built-in EC fleet: one compute node, k+m+1 storage servers.
 ebs::ScenarioSpec base_spec(bool smoke) {
@@ -110,12 +96,10 @@ ArmResult run_arm(const ebs::ScenarioSpec& spec, double cap,
   p.dpu.cpu_cores = 1;
   p.solar.cpu_per_rpc = us(40);
 
-  sim::Engine eng;
-  ebs::Cluster cluster(eng, p);
-  std::uint64_t vd = 0;
-  for (const ebs::VdSpec& v : spec.vds) {
-    vd = cluster.create_vd(v.size_bytes);
-  }
+  ebs::Scenario s = ebs::build_scenario(spec, std::move(p));
+  sim::Engine& eng = *s.engine;
+  ebs::Cluster& cluster = *s.cluster;
+  const std::uint64_t vd = s.vds.back();
 
   // Seed the data region with real payloads, one 8K write at a time (the
   // writes are the stripes the rebuild will have to reconstruct).
@@ -265,6 +249,10 @@ int main(int argc, char** argv) {
     }
     if (!spec.ec.enabled) {
       std::fprintf(stderr, "scenario has no EC fleet (ec.enabled=false)\n");
+      return 2;
+    }
+    if (spec.shards > 1) {
+      std::fprintf(stderr, "ec_rebuild runs on one engine (shards must be 1)\n");
       return 2;
     }
   }

@@ -25,12 +25,14 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "bench_util.h"
 #include "ebs/cluster.h"
 #include "workload/fio.h"
 
 namespace {
 
 using namespace repro;
+using bench::mix;
 using transport::IoCompleteFn;
 using transport::IoRequest;
 using transport::IoResult;
@@ -52,11 +54,6 @@ struct RunResult {
   std::uint64_t fingerprint = 0;
   double wall_s = 0.0;
 };
-
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-  return h * 0xFF51AFD7ED558CCDull;
-}
 
 RunResult run_fleet(const Options& o, int threads) {
   sim::ShardedEngine se(o.shards, threads);

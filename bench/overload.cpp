@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "bench_util.h"
 #include "ebs/scenario.h"
 #include "workload/fio.h"
 #include "workload/trace.h"
@@ -32,6 +33,7 @@
 namespace {
 
 using namespace repro;
+using bench::mix;
 using transport::IoCompleteFn;
 using transport::IoRequest;
 using transport::IoResult;
@@ -57,11 +59,6 @@ struct RunResult {
   std::uint64_t fingerprint = 0;
   double goodput_per_sec = 0.0;
 };
-
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-  return h * 0xFF51AFD7ED558CCDull;
-}
 
 /// The built-in overloaded SOLAR fleet. Capacity is deliberately small
 /// (one DPU core, fat per-RPC cost) so 10x saturation stays cheap to
@@ -112,26 +109,7 @@ RunResult run_arm(const ebs::ScenarioSpec& base, Load load,
   // saturation" simulable in seconds (identical in both arms).
   p.dpu.cpu_cores = 1;
   p.solar.cpu_per_rpc = us(100);
-  ebs::Scenario s;
-  if (spec.shards > 1) {
-    s.sharded = std::make_unique<sim::ShardedEngine>(
-        spec.shards, threads > 0 ? threads : 1);
-    s.cluster = std::make_unique<ebs::Cluster>(*s.sharded, std::move(p));
-  } else {
-    s.engine = std::make_unique<sim::Engine>();
-    s.cluster = std::make_unique<ebs::Cluster>(*s.engine, std::move(p));
-  }
-  if (spec.vds.empty()) {
-    for (int i = 0; i < s.cluster->num_compute(); ++i) {
-      s.vds.push_back(s.cluster->create_vd(spec.vd_size_bytes));
-    }
-  }
-  for (const ebs::VdSpec& vd : spec.vds) {
-    const std::uint64_t id = s.cluster->create_vd(vd.size_bytes);
-    if (vd.has_qos) s.cluster->set_qos(id, vd.qos);
-    if (vd.has_slo) s.cluster->set_slo(id, vd.slo);
-    s.vds.push_back(id);
-  }
+  ebs::Scenario s = ebs::build_scenario(spec, std::move(p));
   ebs::Cluster& cluster = *s.cluster;
 
   const int ncompute = cluster.num_compute();
@@ -207,25 +185,17 @@ RunResult run_arm(const ebs::ScenarioSpec& base, Load load,
       if (nl.best_effort) nl.best_effort->start();
     });
   });
-  if (s.sharded) {
-    s.sharded->run_until(active);
-  } else {
-    s.engine->run_until(active);
-  }
+  s.run_until(active);
   for_each_gen([](NodeLoad& nl) {
     if (nl.replay) nl.replay->stop();
     if (nl.guaranteed) nl.guaranteed->stop();
     if (nl.best_effort) nl.best_effort->stop();
   });
-  if (s.sharded) {
-    s.sharded->run();
-  } else {
-    s.engine->run();
-  }
+  s.run();
 
   RunResult r;
-  r.executed = s.sharded ? s.sharded->executed() : s.engine->executed();
-  r.end_time = s.sharded ? s.sharded->now() : s.engine->now();
+  r.executed = s.executed();
+  r.end_time = s.now();
   std::uint64_t h = mix(r.executed, static_cast<std::uint64_t>(r.end_time));
   for (int i = 0; i < ncompute; ++i) {
     const NodeLoad& nl = loads[static_cast<std::size_t>(i)];

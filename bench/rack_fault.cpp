@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "bench_util.h"
 #include "chaos/ec_oracle.h"
 #include "common/crc32.h"
 #include "ebs/cluster.h"
@@ -41,27 +42,12 @@
 namespace {
 
 using namespace repro;
+using bench::mix;
+using bench::pattern;
 using transport::IoRequest;
 using transport::IoResult;
 using transport::OpType;
 using transport::StorageStatus;
-
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-  return h * 0xFF51AFD7ED558CCDull;
-}
-
-std::vector<std::uint8_t> pattern(std::size_t n, std::uint64_t seed) {
-  std::vector<std::uint8_t> v(n);
-  std::uint64_t x = seed * 0x9E3779B97F4A7C15ull + 1;
-  for (auto& b : v) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    b = static_cast<std::uint8_t>(x);
-  }
-  return v;
-}
 
 bool write_cell(sim::Engine& eng, ebs::Cluster& cluster, std::uint64_t vd,
                 std::uint64_t offset) {

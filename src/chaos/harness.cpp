@@ -154,13 +154,14 @@ bool maintenance_idle(ebs::Cluster& cluster) {
   return true;
 }
 
-/// The sharded twin of `run_chaos`: same lifecycle, but the fleet runs on a
-/// ShardedEngine and oracle bookkeeping is split one board per compute node
-/// so submit/complete hooks execute only on the node's home shard (each
-/// node's VD is driven only by that node, so boards never cross shards).
-RunReport run_chaos_sharded(const HarnessConfig& cfg) {
+}  // namespace
+
+/// One lifecycle on either engine. Oracle bookkeeping is split one board per
+/// compute node: each node's workload drives only its own VD, so a board's
+/// submit/complete hooks always run on the node's home shard and boards
+/// never cross shards.
+RunReport run_chaos(const HarnessConfig& cfg) {
   const ebs::ScenarioSpec spec = cfg.scenario();
-  sim::ShardedEngine se(spec.shards, spec.threads > 0 ? spec.threads : 1);
   ebs::ClusterParams params = ebs::params_from(spec);
   params.obs = cfg.obs;
   if (cfg.dpu_cpu_cores > 0) params.dpu.cpu_cores = cfg.dpu_cpu_cores;
@@ -168,27 +169,22 @@ RunReport run_chaos_sharded(const HarnessConfig& cfg) {
   if (cfg.disable_solar_failover) {
     params.solar.path.fail_threshold = 1 << 30;  // the planted bug
   }
-  ebs::Cluster cluster(se, params);
-  if (cfg.obs != nullptr) cfg.obs->attach(se);
+  ebs::Scenario s = ebs::build_scenario(spec, std::move(params));
+  ebs::Cluster& cluster = *s.cluster;
+  if (cfg.slo_all) {
+    for (const std::uint64_t vd : s.vds) cluster.set_slo(vd, cfg.slo);
+  }
 
   const int nodes = cluster.num_compute();
-  std::vector<std::unique_ptr<OracleBoard>> boards;
-  for (int i = 0; i < nodes; ++i) {
-    boards.push_back(std::make_unique<OracleBoard>(cfg.oracle));
-  }
+  std::vector<OracleBoard> boards(static_cast<std::size_t>(nodes),
+                                  OracleBoard(cfg.oracle));
   Injector injector(cluster);
   Rng rng(cfg.seed ^ 0xC4A05F'44D2ull);
-
-  std::vector<std::uint64_t> vds;
-  for (int i = 0; i < nodes; ++i) {
-    vds.push_back(cluster.create_vd(spec.vd_size_bytes));
-    if (cfg.slo_all) cluster.set_slo(vds.back(), cfg.slo);
-  }
 
   // `cluster.engine().now()` routes through the calling thread's shard
   // context, so inside submit/complete hooks it reads the home engine.
   auto wrapped_submit = [&cluster, &boards](int node) {
-    OracleBoard* board = boards[static_cast<std::size_t>(node)].get();
+    OracleBoard* board = &boards[static_cast<std::size_t>(node)];
     return [&cluster, board, node](IoRequest io, IoCompleteFn done) {
       const std::uint64_t id = board->on_submit(io, cluster.engine().now());
       cluster.compute(node).submit_io(
@@ -201,7 +197,7 @@ RunReport run_chaos_sharded(const HarnessConfig& cfg) {
   };
 
   workload::FioConfig fc;
-  fc.vd_id = vds[0];
+  fc.vd_id = s.vds[0];
   fc.vd_size = spec.vd_size_bytes;
   fc.block_size = spec.workload.block_size;
   fc.iodepth = spec.workload.iodepth;
@@ -219,7 +215,7 @@ RunReport run_chaos_sharded(const HarnessConfig& cfg) {
   std::vector<std::unique_ptr<workload::PoissonLoad>> poissons;
   for (int i = 0; i < nodes; ++i) {
     workload::PoissonConfig pc;
-    pc.vd_id = vds[static_cast<std::size_t>(i)];
+    pc.vd_id = s.vds[static_cast<std::size_t>(i)];
     pc.vd_size = spec.vd_size_bytes;
     pc.iops = spec.workload.poisson_iops;
     pc.read_fraction = spec.workload.read_fraction;
@@ -239,11 +235,11 @@ RunReport run_chaos_sharded(const HarnessConfig& cfg) {
       poissons[static_cast<std::size_t>(i)]->start();
     });
   }
-  se.run_until(cfg.warmup);
+  s.run_until(cfg.warmup);
 
-  const TimeNs armed_at = se.now();
+  const TimeNs armed_at = s.now();
   injector.arm(cfg.plan);
-  se.run_until(se.now() + cfg.active);
+  s.run_until(s.now() + cfg.active);
 
   {
     sim::ShardScope scope(cluster.compute_shard(0));
@@ -256,52 +252,52 @@ RunReport run_chaos_sharded(const HarnessConfig& cfg) {
   // EC durability under the plan's live outages: with the fleet's worst
   // moment behind us but faults not yet repaired, every committed cell
   // must still be recoverable — unless more than m fragments are down.
-  if (params.ec.enabled) {
-    audit_ec(cluster,
-             storage_down_at(cluster, cfg.plan, armed_at, se.now()),
-             se.now(), *boards[0]);
+  if (spec.ec.enabled) {
+    audit_ec(cluster, storage_down_at(cluster, cfg.plan, armed_at, s.now()),
+             s.now(), boards[0]);
   }
   injector.repair_all();
-  for (auto& b : boards) b->set_repair_time(injector.last_repair_time());
+  for (OracleBoard& b : boards) b.set_repair_time(injector.last_repair_time());
 
   // Drain to quiesce in slices so we notice the fleet going idle early.
-  const TimeNs deadline = se.now() + cfg.drain_limit;
-  while (se.pending() > 0 && se.now() < deadline) {
-    se.run_until(std::min(deadline, se.now() + cfg.drain_slice));
+  const TimeNs deadline = s.now() + cfg.drain_limit;
+  while (s.pending() > 0 && s.now() < deadline) {
+    s.run_until(std::min(deadline, s.now() + cfg.drain_slice));
   }
 
   // Post-repair: once the maintenance agents have drained, the fleet must
   // be whole again (every fragment rebuilt or back online).
-  if (params.ec.enabled && maintenance_idle(cluster)) {
-    audit_ec(cluster, {}, se.now(), *boards[0]);
+  if (spec.ec.enabled && maintenance_idle(cluster)) {
+    audit_ec(cluster, {}, s.now(), boards[0]);
   }
 
   std::uint64_t outstanding = 0;
-  for (auto& b : boards) {
-    b->check_outstanding(se.now(), injector.last_repair_time());
-    outstanding += b->outstanding();
+  for (OracleBoard& b : boards) {
+    b.check_outstanding(s.now(), injector.last_repair_time());
+    outstanding += b.outstanding();
   }
   if (outstanding == 0) {
     // Conservation is a fleet-global property; report it once, on node 0.
-    if (se.pending() > 0) {
-      boards[0]->add_violation("conservation",
-                               std::to_string(se.pending()) +
-                                   " timers still pending at quiesce",
-                               se.now());
+    if (s.pending() > 0) {
+      boards[0].add_violation(
+          "conservation",
+          std::to_string(s.pending()) + " timers still pending at quiesce",
+          s.now());
     }
     const std::size_t leaked = cluster.network().packets_outstanding();
     if (leaked > 0) {
-      boards[0]->add_violation(
+      boards[0].add_violation(
           "conservation",
-          std::to_string(leaked) + " pooled packets never returned",
-          se.now());
+          std::to_string(leaked) + " pooled packets never returned", s.now());
     }
   }
 
-  // Durability read-back, one probe batch per node through its own VD.
+  // Durability read-back (post-repair, so probes themselves are clean): a
+  // deterministic sample of each node's committed cells, probed through
+  // that node's own stack and VD.
   if (outstanding == 0 && cfg.oracle.check_crc && cfg.readback_samples > 0) {
     for (int i = 0; i < nodes; ++i) {
-      OracleBoard* board = boards[static_cast<std::size_t>(i)].get();
+      OracleBoard* board = &boards[static_cast<std::size_t>(i)];
       const auto cells =
           board->stable_cells(static_cast<std::size_t>(cfg.readback_samples));
       sim::ShardScope scope(cluster.compute_shard(i));
@@ -317,152 +313,26 @@ RunReport run_chaos_sharded(const HarnessConfig& cfg) {
             });
       }
     }
-    se.run();
+    s.run();
   }
 
   RunReport report;
-  for (int i = 0; i < nodes; ++i) {
-    const auto& v = boards[static_cast<std::size_t>(i)]->violations();
-    report.violations.insert(report.violations.end(), v.begin(), v.end());
-    report.ios_completed += boards[static_cast<std::size_t>(i)]->completed();
-    report.errors += boards[static_cast<std::size_t>(i)]->errors();
-    report.hangs += boards[static_cast<std::size_t>(i)]->hangs();
-    report.crc_checks += boards[static_cast<std::size_t>(i)]->crc_checks();
+  for (const OracleBoard& b : boards) {
+    report.violations.insert(report.violations.end(), b.violations().begin(),
+                             b.violations().end());
+    report.ios_completed += b.completed();
+    report.errors += b.errors();
+    report.hangs += b.hangs();
+    report.crc_checks += b.crc_checks();
   }
+  std::stable_sort(report.violations.begin(), report.violations.end(),
+                   [](const Violation& a, const Violation& b) {
+                     return a.at < b.at;
+                   });
   report.faults_applied = static_cast<std::uint64_t>(injector.applied());
   report.faults_reverted = static_cast<std::uint64_t>(injector.reverted());
-  report.executed = se.executed();
-  report.end_time = se.now();
-  return report;
-}
-
-}  // namespace
-
-RunReport run_chaos(const HarnessConfig& cfg) {
-  if (cfg.shards > 1) return run_chaos_sharded(cfg);
-  sim::Engine eng;
-  const ebs::ScenarioSpec spec = cfg.scenario();
-  ebs::ClusterParams params = ebs::params_from(spec);
-  params.obs = cfg.obs;
-  if (cfg.dpu_cpu_cores > 0) params.dpu.cpu_cores = cfg.dpu_cpu_cores;
-  if (cfg.solar_cpu_per_rpc > 0) params.solar.cpu_per_rpc = cfg.solar_cpu_per_rpc;
-  if (cfg.disable_solar_failover) {
-    params.solar.path.fail_threshold = 1 << 30;  // the planted bug
-  }
-  ebs::Cluster cluster(eng, params);
-  if (cfg.obs != nullptr) cfg.obs->attach(eng);
-
-  OracleBoard oracle(cfg.oracle);
-  Injector injector(cluster);
-  Rng rng(cfg.seed ^ 0xC4A05F'44D2ull);
-
-  std::vector<std::uint64_t> vds;
-  for (int i = 0; i < cluster.num_compute(); ++i) {
-    vds.push_back(cluster.create_vd(spec.vd_size_bytes));
-    if (cfg.slo_all) cluster.set_slo(vds.back(), cfg.slo);
-  }
-
-  auto wrapped_submit = [&cluster, &oracle, &eng](int node) {
-    return [&cluster, &oracle, &eng, node](IoRequest io, IoCompleteFn done) {
-      const std::uint64_t id = oracle.on_submit(io, eng.now());
-      cluster.compute(node).submit_io(
-          std::move(io),
-          [&oracle, &eng, id, done = std::move(done)](IoResult res) {
-            oracle.on_complete(id, res, eng.now());
-            done(std::move(res));
-          });
-    };
-  };
-
-  workload::FioConfig fc;
-  fc.vd_id = vds[0];
-  fc.vd_size = spec.vd_size_bytes;
-  fc.block_size = spec.workload.block_size;
-  fc.iodepth = spec.workload.iodepth;
-  fc.read_fraction = spec.workload.read_fraction;
-  fc.real_payload = spec.workload.real_payload;
-  fc.max_ios = spec.workload.max_ios;  // closed loop must not swamp the run
-  workload::FioJob fio(eng, wrapped_submit(0), fc, rng.fork(100));
-
-  std::vector<std::unique_ptr<workload::PoissonLoad>> poissons;
-  for (int i = 0; i < cluster.num_compute(); ++i) {
-    workload::PoissonConfig pc;
-    pc.vd_id = vds[static_cast<std::size_t>(i)];
-    pc.vd_size = spec.vd_size_bytes;
-    pc.iops = spec.workload.poisson_iops;
-    pc.read_fraction = spec.workload.read_fraction;
-    pc.block_size = spec.workload.block_size;
-    pc.real_payload = spec.workload.real_payload;
-    poissons.push_back(std::make_unique<workload::PoissonLoad>(
-        eng, wrapped_submit(i), pc,
-        rng.fork(200 + static_cast<std::uint64_t>(i))));
-  }
-
-  eng.at(eng.now(), [&] {
-    fio.start();
-    for (auto& p : poissons) p->start();
-  });
-  eng.run_until(cfg.warmup);
-
-  const TimeNs armed_at = eng.now();
-  injector.arm(cfg.plan);
-  eng.run_until(eng.now() + cfg.active);
-
-  fio.stop();
-  for (auto& p : poissons) p->stop();
-  // EC durability under the plan's live outages (see the sharded twin).
-  if (params.ec.enabled) {
-    audit_ec(cluster,
-             storage_down_at(cluster, cfg.plan, armed_at, eng.now()),
-             eng.now(), oracle);
-  }
-  injector.repair_all();
-  oracle.set_repair_time(injector.last_repair_time());
-
-  // Drain to quiesce in slices so we notice the engine going idle early.
-  const TimeNs deadline = eng.now() + cfg.drain_limit;
-  while (eng.pending() > 0 && eng.now() < deadline) {
-    eng.run_until(std::min(deadline, eng.now() + cfg.drain_slice));
-  }
-
-  // Post-repair: once the maintenance agent has drained, the fleet must
-  // be whole again (every fragment rebuilt or back online).
-  if (params.ec.enabled && maintenance_idle(cluster)) {
-    audit_ec(cluster, {}, eng.now(), oracle);
-  }
-
-  oracle.check_quiesce(eng, cluster.network(), injector.last_repair_time());
-
-  // Durability read-back: probe a deterministic sample of committed cells
-  // through the full stack (post-repair, so probes themselves are clean).
-  if (oracle.outstanding() == 0 && cfg.oracle.check_crc &&
-      cfg.readback_samples > 0) {
-    const auto cells =
-        oracle.stable_cells(static_cast<std::size_t>(cfg.readback_samples));
-    for (const OracleBoard::StableCell& cell : cells) {
-      IoRequest io;
-      io.vd_id = cell.vd_id;
-      io.op = OpType::kRead;
-      io.offset = cell.lba;
-      io.len = 4096;
-      cluster.compute(0).submit_io(
-          std::move(io), [&oracle, &eng, cell](IoResult res) {
-            oracle.check_readback(cell, res, eng.now());
-          });
-    }
-    eng.run();
-  }
-
-  RunReport report;
-  report.violations = oracle.violations();
-  report.ios_completed = oracle.completed();
-  report.errors = oracle.errors();
-  report.hangs = oracle.hangs();
-  report.crc_checks = oracle.crc_checks();
-  report.faults_applied = static_cast<std::uint64_t>(injector.applied());
-  report.faults_reverted = static_cast<std::uint64_t>(injector.reverted());
-  report.executed = eng.executed();
-  report.end_time = eng.now();
+  report.executed = s.executed();
+  report.end_time = s.now();
   return report;
 }
 

@@ -3,11 +3,13 @@
 //
 // Lifecycle: build a small cluster with real payloads → closed-loop fio
 // plus an open-loop Poisson stream per compute node, submits wrapped by
-// the OracleBoard → warmup → arm the plan → active fault window →
-// repair_all → drain to quiesce (bounded) → quiesce checks → durability
-// read-back of a deterministic sample of committed cells. The RunReport
-// carries a determinism signature — two runs of the same config must match
-// it bit-for-bit, faults and all.
+// that node's OracleBoard → warmup → arm the plan → active fault window →
+// repair_all → drain to quiesce (bounded) → quiesce checks → per node, a
+// durability read-back of a deterministic sample of its committed cells
+// through its own VD. The same lifecycle runs on either engine
+// (`ebs::Scenario` picks it from `shards`). The RunReport carries a
+// determinism signature — two runs of the same config must match it
+// bit-for-bit, faults and all.
 #pragma once
 
 #include <cstdint>
@@ -80,12 +82,11 @@ struct HarnessConfig {
   TimeNs drain_limit = seconds(30);  ///< give up draining after this
 
   OracleConfig oracle;
+  /// Committed cells read back per compute node, in (vd, lba) order.
   int readback_samples = 48;
 
-  /// Fabric partition for the sharded engine; 1 = the classic single-engine
-  /// harness, bit-identical to before the knob existed. With shards > 1 the
-  /// run executes on a ShardedEngine with one oracle board per compute node
-  /// (node-affine, so oracle bookkeeping stays on the node's home shard).
+  /// Fabric partition: 1 = a single `sim::Engine`, > 1 = a ShardedEngine.
+  /// Either way each compute node has its own (node-affine) oracle board.
   int shards = 1;
   /// Worker threads for the sharded run. Purely a speed knob: the report
   /// signature is a function of the config (including `shards`), never of

@@ -67,8 +67,8 @@ class OracleBoard {
   void check_quiesce(const sim::Engine& engine, const net::Network& net,
                      TimeNs last_repair);
 
-  /// The stuck-I/O half of `check_quiesce` alone. Sharded runs keep one
-  /// board per compute node and call this on each, then do the global
+  /// The stuck-I/O half of `check_quiesce` alone. The chaos harness keeps
+  /// one board per compute node and calls this on each, then does the global
   /// conservation checks (engine timers, pooled packets) once per fleet.
   void check_outstanding(TimeNs now, TimeNs last_repair);
 

@@ -5,6 +5,7 @@
 
 #include "obs/json.h"
 #include "obs/json_reader.h"
+#include "obs/obs.h"
 
 namespace repro::ebs {
 
@@ -329,17 +330,44 @@ ClusterParams params_from(const ScenarioSpec& spec) {
   return p;
 }
 
+void Scenario::run_until(TimeNs t) {
+  sharded ? sharded->run_until(t) : engine->run_until(t);
+}
+
+void Scenario::run() {
+  sharded ? sharded->run() : engine->run();
+}
+
+TimeNs Scenario::now() const {
+  return sharded ? sharded->now() : engine->now();
+}
+
+std::uint64_t Scenario::executed() const {
+  return sharded ? sharded->executed() : engine->executed();
+}
+
+std::size_t Scenario::pending() const {
+  return sharded ? sharded->pending() : engine->pending();
+}
+
 Scenario build_scenario(const ScenarioSpec& spec, obs::Obs* obs) {
   ClusterParams p = params_from(spec);
   p.obs = obs;
+  return build_scenario(spec, std::move(p));
+}
+
+Scenario build_scenario(const ScenarioSpec& spec, ClusterParams p) {
+  obs::Obs* obs = p.obs;
   Scenario s;
   if (spec.shards > 1) {
     s.sharded = std::make_unique<sim::ShardedEngine>(
         spec.shards, spec.threads > 0 ? spec.threads : 1);
     s.cluster = std::make_unique<Cluster>(*s.sharded, std::move(p));
+    if (obs != nullptr) obs->attach(*s.sharded);
   } else {
     s.engine = std::make_unique<sim::Engine>();
     s.cluster = std::make_unique<Cluster>(*s.engine, std::move(p));
+    if (obs != nullptr) obs->attach(*s.engine);
   }
   if (spec.vds.empty()) {
     for (int i = 0; i < s.cluster->num_compute(); ++i) {

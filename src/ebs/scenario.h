@@ -96,17 +96,28 @@ ClusterParams params_from(const ScenarioSpec& spec);
 
 /// A built scenario: engine + cluster + the VDs the spec declared (with QoS
 /// applied), ready for a workload. Specs with `shards > 1` build on a
-/// `ShardedEngine` instead (`engine` stays null, `sharded` is set) — drive
-/// the run via `sharded->run()` / `run_until()`.
+/// `ShardedEngine` instead (`engine` stays null, `sharded` is set). The
+/// driving methods below hide that choice, so callers never branch on it.
 struct Scenario {
   std::unique_ptr<sim::Engine> engine;
   std::unique_ptr<sim::ShardedEngine> sharded;
   std::unique_ptr<Cluster> cluster;
   std::vector<std::uint64_t> vds;
+
+  void run_until(TimeNs t);
+  void run();
+  TimeNs now() const;  ///< global time (the barrier time when sharded)
+  std::uint64_t executed() const;
+  std::size_t pending() const;
 };
 
 /// Builds the engine, cluster and VDs a spec describes. `obs` optional
-/// (null = dark).
+/// (null = dark); when set it is attached to the engine before the VDs are
+/// created.
 Scenario build_scenario(const ScenarioSpec& spec, obs::Obs* obs = nullptr);
+
+/// As above, but from `params` (carrying `obs`) instead of
+/// `params_from(spec)`, for callers that adjust knobs a spec does not carry.
+Scenario build_scenario(const ScenarioSpec& spec, ClusterParams params);
 
 }  // namespace repro::ebs

@@ -551,7 +551,18 @@ void EcClient::write_cell(const RowRef& row, int p, DataBlock block,
         ++wr->remaining;
       }
       if (torn) mark_dirty(row);
-      inner_submit(std::move(dw), count_down(0));
+      // Fail fast like the old-data read: once this client holds the data
+      // holder dead, the agent may have remapped the segment, and a write
+      // acked by the stale holder would be lost to the rebuild's decode.
+      const auto data_loc = segments_.lookup(row.vd, block.lba);
+      if (!data_loc || !server_alive(data_loc->block_server)) {
+        IoResult failed;
+        failed.status = StorageStatus::kTimeout;
+        failed.completed_at = engine_.now();
+        count_down(0)(std::move(failed));
+      } else {
+        inner_submit(std::move(dw), count_down(0));
+      }
       for (auto& [slot, req] : parity_writes) {
         inner_submit(std::move(req), count_down(slot));
       }

@@ -414,13 +414,17 @@ TEST(EcClientRmw, FailedDataWriteMarksRowDirty) {
   // Fake inner stack: reads always succeed; writes to the data region can
   // be told to time out while parity writes keep landing.
   bool fail_data_writes = false;
+  int data_writes_seen = 0;
   EcParams params;
   params.enabled = true;
   params.k = k;
   params.m = m;
   EcClient ec(eng, table, params,
-              [&eng, &fail_data_writes, data_end](IoRequest io,
-                                                  IoCompleteFn done) {
+              [&eng, &fail_data_writes, &data_writes_seen, data_end](
+                  IoRequest io, IoCompleteFn done) {
+                if (io.op == OpType::kWrite && io.offset < data_end) {
+                  ++data_writes_seen;
+                }
                 IoResult res;
                 res.status = (io.op == OpType::kWrite && fail_data_writes &&
                               io.offset < data_end)
@@ -456,6 +460,19 @@ TEST(EcClientRmw, FailedDataWriteMarksRowDirty) {
   EXPECT_EQ(run_write(0).status, StorageStatus::kTimeout);
   EXPECT_TRUE(ec.row_dirty(vd, 0));
   EXPECT_TRUE(ec.row_dirty(vd, sa::SegmentTable::kSegmentBytes));
+
+  // Data holder already held dead by this client: the write fails fast like
+  // its old-data read. No RPC reaches the stale holder (where it could be
+  // acknowledged behind a rebuild's back), the guest sees the error, and the
+  // row waits for repair.
+  fail_data_writes = false;
+  const std::uint64_t row1 = 4096;
+  ASSERT_FALSE(ec.row_dirty(vd, row1));
+  ec.mark_server(table.lookup(vd, row1)->block_server, false);
+  const int data_writes_before = data_writes_seen;
+  EXPECT_EQ(run_write(row1).status, StorageStatus::kTimeout);
+  EXPECT_TRUE(ec.row_dirty(vd, row1));
+  EXPECT_EQ(data_writes_seen, data_writes_before);
 }
 
 TEST(EcCluster, DegradedReadFailsPastM) {

@@ -26,35 +26,37 @@ namespace {
 
 using ebs::StackKind;
 
+// gtest prints a case's bytes into its name, which name lists cut at 100
+// chars: pointers go last so no address that moves per link is in the cut.
 struct FamilyCase {
-  const char* name;       ///< stack::to_string(ServerFamily) spelling
   StackKind stack;
-  bool ec = false;
+  bool ec;
+  const char* name;  ///< stack::to_string(ServerFamily) spelling
   /// Placement policy name ("legacy" / "rack-aware" / "exposure"); null =
   /// placement subsystem off entirely (the historical config).
   const char* policy = nullptr;
 };
 
 constexpr FamilyCase kFamilies[] = {
-    {"tcp", StackKind::kKernelTcp},
-    {"rdma", StackKind::kRdma},
-    {"solar", StackKind::kSolar},
-    {"ec", StackKind::kSolar, true},
+    {StackKind::kKernelTcp, false, "tcp"},
+    {StackKind::kRdma, false, "rdma"},
+    {StackKind::kSolar, false, "solar"},
+    {StackKind::kSolar, true, "ec"},
     // Placement-policy sweep: every family × every policy must honor the
     // same conformance contract (exactly-once, CRC durability, thread-count
     // bit-determinism, obs read-only) as the policy-free configs above.
-    {"tcp_legacy", StackKind::kKernelTcp, false, "legacy"},
-    {"tcp_rack", StackKind::kKernelTcp, false, "rack-aware"},
-    {"tcp_exposure", StackKind::kKernelTcp, false, "exposure"},
-    {"rdma_legacy", StackKind::kRdma, false, "legacy"},
-    {"rdma_rack", StackKind::kRdma, false, "rack-aware"},
-    {"rdma_exposure", StackKind::kRdma, false, "exposure"},
-    {"solar_legacy", StackKind::kSolar, false, "legacy"},
-    {"solar_rack", StackKind::kSolar, false, "rack-aware"},
-    {"solar_exposure", StackKind::kSolar, false, "exposure"},
-    {"ec_legacy", StackKind::kSolar, true, "legacy"},
-    {"ec_rack", StackKind::kSolar, true, "rack-aware"},
-    {"ec_exposure", StackKind::kSolar, true, "exposure"},
+    {StackKind::kKernelTcp, false, "tcp_legacy", "legacy"},
+    {StackKind::kKernelTcp, false, "tcp_rack", "rack-aware"},
+    {StackKind::kKernelTcp, false, "tcp_exposure", "exposure"},
+    {StackKind::kRdma, false, "rdma_legacy", "legacy"},
+    {StackKind::kRdma, false, "rdma_rack", "rack-aware"},
+    {StackKind::kRdma, false, "rdma_exposure", "exposure"},
+    {StackKind::kSolar, false, "solar_legacy", "legacy"},
+    {StackKind::kSolar, false, "solar_rack", "rack-aware"},
+    {StackKind::kSolar, false, "solar_exposure", "exposure"},
+    {StackKind::kSolar, true, "ec_legacy", "legacy"},
+    {StackKind::kSolar, true, "ec_rack", "rack-aware"},
+    {StackKind::kSolar, true, "ec_exposure", "exposure"},
 };
 
 HarnessConfig family_config(const FamilyCase& fc, int shards = 1,
@@ -155,7 +157,7 @@ FaultEvent storage_stop(int index) {
 // stay recoverable (mid-run EC audit green, degraded reads served, rebuild
 // restores the fleet by quiesce).
 TEST(EcConformance, SurvivesAnyMConcurrentFragmentLosses) {
-  const FamilyCase ec{"ec", StackKind::kSolar, true};
+  const FamilyCase ec{StackKind::kSolar, true, "ec"};
   const int width = 4;  // storage_nodes in family_config
   for (int victim = 0; victim < width; ++victim) {
     HarnessConfig cfg = family_config(ec);
@@ -177,7 +179,7 @@ TEST(EcConformance, SurvivesAnyMConcurrentFragmentLosses) {
 // whose schedule bounds any rack to ceil(3/3) = 1 fragment per stripe.
 TEST(EcConformance, RackAwareSpreadSurvivesWholeRackFailStop) {
   auto rack_fail_config = [](const char* policy) {
-    const FamilyCase ec{"ec", StackKind::kSolar, true};
+    const FamilyCase ec{StackKind::kSolar, true, "ec"};
     HarnessConfig cfg = family_config(ec);
     cfg.storage_nodes = 6;
     cfg.servers_per_rack = 2;  // racks {0,1},{2,3},{4,5}
@@ -213,7 +215,7 @@ TEST(EcConformance, RackAwareSpreadSurvivesWholeRackFailStop) {
 // m+1 concurrent losses exceed the code's correction budget: the
 // durability-under-f-failures oracle must detect real data loss.
 TEST(EcConformance, DetectsDataLossAtMPlusOneLosses) {
-  const FamilyCase ec{"ec", StackKind::kSolar, true};
+  const FamilyCase ec{StackKind::kSolar, true, "ec"};
   HarnessConfig cfg = family_config(ec);
   cfg.plan.name = "ec-m-plus-one";
   cfg.plan.events.push_back(storage_stop(0));

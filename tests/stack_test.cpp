@@ -227,7 +227,6 @@ HeteroSig run_hetero(std::uint64_t seed, obs::Obs* obs = nullptr) {
   spec.vd_size_bytes = 1ull << 30;
   Scenario s = build_scenario(spec, obs);
   auto& eng = *s.engine;
-  if (obs != nullptr) obs->attach(eng);
   EXPECT_EQ(s.cluster->compute(0).stack_kind(), StackKind::kLuna);
   EXPECT_EQ(s.cluster->compute(1).stack_kind(), StackKind::kSolar);
 
