@@ -22,10 +22,11 @@ struct Row {
 };
 
 Row run(std::uint32_t block_bytes) {
-  auto params = bench::default_params(StackKind::kSolar, 1, 8, 77);
+  const auto spec = bench::default_scenario(StackKind::kSolar, 1, 8, 77);
+  auto params = ebs::params_from(spec);
   params.solar.block_size = block_bytes;
   params.topo.queue_capacity = 96 * 1024;  // shallow switch buffers
-  auto c = bench::make_cluster(params);
+  auto c = ebs::build_scenario(spec, std::move(params));
   auto& eng = *c.engine;
 
   // Prime, then incast-read 128KB I/Os (split across all storage nodes).

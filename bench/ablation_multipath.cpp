@@ -22,9 +22,11 @@ struct Row {
 };
 
 Row run(int paths) {
-  auto params = bench::default_params(StackKind::kSolar, 1, 4, 31 + paths);
+  const auto spec =
+      bench::default_scenario(StackKind::kSolar, 1, 4, 31 + paths);
+  auto params = ebs::params_from(spec);
   params.solar.path.paths_per_peer = paths;
-  auto c = bench::make_cluster(params);
+  auto c = ebs::build_scenario(spec, std::move(params));
   auto& eng = *c.engine;
   Row row;
 

@@ -21,9 +21,6 @@
 
 namespace repro::bench {
 
-/// The engine, cluster and VDs a bench drives.
-using ClusterUnderTest = ebs::Scenario;
-
 /// The benches' canonical scenario: small fabric, one VD per compute node,
 /// placeholder payloads (byte-level work is covered by the unit/property
 /// tests and the fig11 campaign).
@@ -37,29 +34,6 @@ inline ebs::ScenarioSpec default_scenario(ebs::StackKind stack,
   spec.stack = stack;
   spec.seed = seed;
   return spec;
-}
-
-inline ebs::ClusterParams default_params(ebs::StackKind stack,
-                                         int compute = 2, int storage = 8,
-                                         std::uint64_t seed = 42) {
-  return ebs::params_from(default_scenario(stack, compute, storage, seed));
-}
-
-inline ClusterUnderTest make_cluster(ebs::ClusterParams params,
-                                     std::uint64_t vd_size = 8ull << 30) {
-  ClusterUnderTest c;
-  c.engine = std::make_unique<sim::Engine>();
-  c.cluster = std::make_unique<ebs::Cluster>(*c.engine, params);
-  for (int i = 0; i < c.cluster->num_compute(); ++i) {
-    c.vds.push_back(c.cluster->create_vd(vd_size));
-  }
-  return c;
-}
-
-/// Builds a cluster straight from a declarative scenario.
-inline ClusterUnderTest make_cluster(const ebs::ScenarioSpec& spec,
-                                     obs::Obs* obs = nullptr) {
-  return ebs::build_scenario(spec, obs);
 }
 
 inline workload::SubmitFn submit_via(ebs::Cluster& cluster, int node) {
@@ -78,7 +52,7 @@ struct FioRunResult {
   TimeNs measured_ns = 0;
 };
 
-inline FioRunResult run_fio(ClusterUnderTest& c, workload::FioConfig cfg,
+inline FioRunResult run_fio(ebs::Scenario& c, workload::FioConfig cfg,
                             TimeNs warmup, TimeNs measure, int node = 0,
                             std::uint64_t seed = 7) {
   auto& eng = *c.engine;

@@ -22,8 +22,8 @@ struct Breakdown {
 };
 
 Breakdown measure(StackKind stack, transport::OpType op, int ios) {
-  auto params = bench::default_params(stack, /*compute=*/2, /*storage=*/8);
-  auto c = bench::make_cluster(params);
+  auto c = ebs::build_scenario(
+      bench::default_scenario(stack, /*compute=*/2, /*storage=*/8));
   auto& eng = *c.engine;
   Breakdown out;
   Rng rng(5);
@@ -153,12 +153,10 @@ void export_sample_trace() {
   obs::ObsConfig oc;
   oc.trace_capacity = 1 << 15;
   obs::Obs obs(oc);
-  auto params = bench::default_params(StackKind::kSolar, /*compute=*/2,
-                                      /*storage=*/8);
-  params.obs = &obs;
-  auto c = bench::make_cluster(params);
+  auto c = ebs::build_scenario(
+      bench::default_scenario(StackKind::kSolar, /*compute=*/2, /*storage=*/8),
+      &obs);
   auto& eng = *c.engine;
-  obs.attach(eng);
 
   const std::uint64_t vd = c.vds[0];
   for (auto op : {transport::OpType::kWrite, transport::OpType::kRead}) {

@@ -34,9 +34,9 @@ StackPerf measure(StackKind stack) {
   StackPerf p;
   // Latency: shallow queue depth (what a guest's synchronous I/O sees).
   {
-    auto params = bench::default_params(stack, 1, 8);
-    if (stack == StackKind::kSolar) params.on_dpu = true;
-    auto c = bench::make_cluster(params);
+    auto spec = bench::default_scenario(stack, 1, 8);
+    spec.on_dpu = stack == StackKind::kSolar;
+    auto c = ebs::build_scenario(spec);
     workload::FioConfig cfg;
     cfg.block_size = 0;  // production size mix
     cfg.iodepth = 12;    // production-loaded server, not an idle lab
@@ -48,11 +48,12 @@ StackPerf measure(StackKind stack) {
   // paper's per-core basis, Fig. 14b / §4.8; fleet IOPS scales with the
   // per-era core budget).
   {
-    auto params = bench::default_params(stack, 1, 8);
-    if (stack == StackKind::kSolar) params.on_dpu = true;
+    auto spec = bench::default_scenario(stack, 1, 8);
+    spec.on_dpu = stack == StackKind::kSolar;
+    auto params = ebs::params_from(spec);
     params.host_cpu_cores = 1;
     params.dpu.cpu_cores = 1;
-    auto c = bench::make_cluster(params);
+    auto c = ebs::build_scenario(spec, std::move(params));
     workload::FioConfig cfg;
     cfg.block_size = 4096;
     cfg.iodepth = 64;
@@ -88,7 +89,7 @@ StepResult run_step(const ebs::ScenarioSpec& base, int solar_nodes) {
   for (int i = 0; i < solar_nodes; ++i) {
     spec.compute_stacks[static_cast<std::size_t>(i)] = StackKind::kSolar;
   }
-  auto c = bench::make_cluster(spec);
+  auto c = ebs::build_scenario(spec);
   auto& eng = *c.engine;
 
   std::vector<std::unique_ptr<workload::FioJob>> jobs;

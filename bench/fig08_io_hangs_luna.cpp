@@ -23,9 +23,9 @@ namespace {
 
 /// Fraction of compute servers with >=1 hung I/O while the failure is on.
 double measure_hang_fraction(const char* tier) {
-  auto params = bench::default_params(StackKind::kLuna, 4, 4, 77);
-  params.topo.servers_per_rack = 2;
-  auto c = bench::make_cluster(params);
+  auto spec = bench::default_scenario(StackKind::kLuna, 4, 4, 77);
+  spec.servers_per_rack = 2;
+  auto c = ebs::build_scenario(spec);
   auto& eng = *c.engine;
   std::vector<std::unique_ptr<workload::PoissonLoad>> jobs;
   for (int node = 0; node < c.cluster->num_compute(); ++node) {

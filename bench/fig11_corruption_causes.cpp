@@ -31,9 +31,10 @@ struct CampaignResult {
 /// same three FPGA fault families the fuzzer draws from.
 CampaignResult run_fpga_campaign(double pre_crc, double post_crc,
                                  double crc_engine, int rounds) {
-  auto params = bench::default_params(StackKind::kSolar, 1, 2, 9001);
-  params.block_server.store_payload = true;
-  auto c = bench::make_cluster(params, 64ull << 20);
+  auto spec = bench::default_scenario(StackKind::kSolar, 1, 2, 9001);
+  spec.store_payload = true;
+  spec.vd_size_bytes = 64ull << 20;
+  auto c = ebs::build_scenario(spec);
   auto& eng = *c.engine;
   Rng rng(5);
 

@@ -22,11 +22,12 @@ struct Point {
 };
 
 Point run_case(StackKind stack, int cores, std::uint32_t block_size) {
-  auto params = bench::default_params(stack, /*compute=*/1, /*storage=*/16);
-  params.on_dpu = true;
+  auto spec = bench::default_scenario(stack, /*compute=*/1, /*storage=*/16);
+  spec.on_dpu = true;
+  auto params = ebs::params_from(spec);
   params.dpu.cpu_cores = cores;
   params.host_cpu_cores = cores;  // unused when on_dpu, set for clarity
-  auto c = bench::make_cluster(params);
+  auto c = ebs::build_scenario(spec, std::move(params));
 
   workload::FioConfig cfg;
   cfg.block_size = block_size;

@@ -20,9 +20,9 @@ struct P5099 {
 };
 
 P5099 run_case(StackKind stack, bool heavy) {
-  auto params = bench::default_params(stack, /*compute=*/3, /*storage=*/8);
-  params.on_dpu = true;
-  auto c = bench::make_cluster(params);
+  auto spec = bench::default_scenario(stack, /*compute=*/3, /*storage=*/8);
+  spec.on_dpu = true;
+  auto c = ebs::build_scenario(spec);
   auto& eng = *c.engine;
 
   std::vector<std::unique_ptr<workload::FioJob>> background;

@@ -16,18 +16,23 @@
 //                      planted bug) and hunt it with stretched plans; exit
 //                      0 iff the hang oracle catches it and the minimized
 //                      repro still fails deterministically.
-//   --replay FILE      re-run a dumped plan (--stack/--seed/--hang-oracle/
-//                      --planted-bug select the rest of the triple); exit
-//                      0 iff clean.
+//   --replay PLAN --scenario SPEC
+//                      re-run a dumped plan on the dumped scenario
+//                      (--hang-oracle/--planted-bug select the oracle and
+//                      the build); exit 0 iff clean.
 //
-// The harness config other than (stack, seed, plan, workload knobs drawn
-// from the seed) is fixed, so a repro file plus the printed command line
-// fully determines the failing run.
+// Everything a run simulates — stack, seed, topology and the workload
+// knobs drawn from the seed — lives in its `ebs::ScenarioSpec`, which the
+// repro bundle dumps beside the plan; the other harness knobs are fixed or
+// named by the printed flags. Both files keep every bit (doubles at full
+// precision, the seed as an exact integer), so the two repro files plus the
+// printed command line fully determine the failing run. A hand-trimmed
+// SPEC takes `ebs::ScenarioSpec`'s defaults for absent keys, not the
+// harness's.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -39,6 +44,7 @@
 #include "chaos/injector.h"
 #include "chaos/minimize.h"
 #include "ebs/cluster.h"
+#include "ebs/scenario.h"
 #include "obs/export.h"
 #include "obs/obs.h"
 #include "sim/engine.h"
@@ -63,10 +69,10 @@ std::string stack_name(StackKind s) { return stack::cli_string(s); }
 chaos::TopologyShape shape_for(StackKind stack) {
   // One throwaway cluster per stack tells the generator what exists,
   // built from the harness's own declarative scenario.
-  HarnessConfig defaults;
-  defaults.stack = stack;
+  ebs::ScenarioSpec spec = chaos::default_harness_spec();
+  spec.stack = stack;
   sim::Engine eng;
-  ebs::Cluster cluster(eng, ebs::params_from(defaults.scenario()));
+  ebs::Cluster cluster(eng, ebs::params_from(spec));
   return chaos::Injector(cluster).shape();
 }
 
@@ -79,21 +85,21 @@ struct FuzzOptions {
   bool plant_bug = false;
   /// Worker threads for the sweep. Each run's config is a pure function of
   /// its index, results are reported in index order, and minimization runs
-  /// serially afterwards — so `--jobs N` finds exactly the set of failures
-  /// `--jobs 1` finds, just sooner.
+  /// serially afterwards — so every `--jobs N` finds the same failures.
   int jobs = 1;
 };
 
-std::string repro_path(const FuzzOptions& opt, const char* tag) {
-  return opt.out_dir + "/simfuzz_repro_" + tag + ".json";
+std::string out_path(const FuzzOptions& opt, const char* kind,
+                     const char* tag) {
+  return opt.out_dir + "/simfuzz_" + kind + "_" + tag + ".json";
 }
 
 void dump_repro(const FuzzOptions& opt, const HarnessConfig& cfg,
                 const FaultPlan& min_plan, const char* tag) {
-  const std::string plan_path = repro_path(opt, tag);
-  std::ofstream f(plan_path);
-  f << min_plan.to_json() << "\n";
-  f.close();
+  const std::string plan_path = out_path(opt, "repro", tag);
+  std::ofstream(plan_path) << min_plan.to_json() << "\n";
+  const std::string spec_path = out_path(opt, "scenario", tag);
+  std::ofstream(spec_path) << cfg.spec.to_json() << "\n";
 
   // Trace of the minimized failing run, Perfetto-loadable.
   obs::Obs obs;
@@ -101,16 +107,14 @@ void dump_repro(const FuzzOptions& opt, const HarnessConfig& cfg,
   traced.plan = min_plan;
   traced.obs = &obs;
   const RunReport r = chaos::run_chaos(traced);
-  const std::string trace_path =
-      opt.out_dir + "/simfuzz_trace_" + tag + ".json";
+  const std::string trace_path = out_path(opt, "trace", tag);
   obs::export_chrome_trace(trace_path, obs.tracer());
 
   std::printf("  repro plan : %s\n", plan_path.c_str());
   std::printf("  trace      : %s (violations in traced run: %zu)\n",
               trace_path.c_str(), r.violations.size());
-  std::printf("  replay with: sim_fuzz --replay %s --stack %s --seed %llu%s%s\n",
-              plan_path.c_str(), stack_name(cfg.stack).c_str(),
-              static_cast<unsigned long long>(cfg.seed),
+  std::printf("  replay with: sim_fuzz --replay %s --scenario %s%s%s\n",
+              plan_path.c_str(), spec_path.c_str(),
               cfg.oracle.hang_oracle ? " --hang-oracle" : "",
               cfg.disable_solar_failover ? " --planted-bug" : "");
 }
@@ -129,8 +133,7 @@ void print_violations(const RunReport& r) {
 }
 
 /// The (stack, seed, plan, workload) triple of sweep run `i` — a pure
-/// function of the options and index, shared by the serial and parallel
-/// paths so they cover identical configs.
+/// function of the options and index, so any worker may run it.
 HarnessConfig config_for(const FuzzOptions& opt, int i,
                          const chaos::TopologyShape shapes[4]) {
   const int si = i % 4;
@@ -145,25 +148,25 @@ HarnessConfig config_for(const FuzzOptions& opt, int i,
   const FaultPlan plan = chaos::generate_plan(rng, gc, shapes[si]);
 
   HarnessConfig cfg;
-  cfg.stack = stack;
-  cfg.seed = seed;
+  cfg.spec.stack = stack;
+  cfg.spec.seed = seed;
   cfg.plan = plan;
   cfg.active = ms(600);
   // The workload leg of the triple, drawn from the same stream.
-  cfg.read_fraction = 0.2 + 0.15 * static_cast<double>(rng.next_below(4));
-  cfg.block_size = 4096u << rng.next_below(3);  // 4K / 8K / 16K
-  cfg.poisson_iops = 800.0 + 400.0 * static_cast<double>(rng.next_below(4));
+  ebs::WorkloadSpec& w = cfg.spec.workload;
+  w.read_fraction = 0.2 + 0.15 * static_cast<double>(rng.next_below(4));
+  w.block_size = 4096u << rng.next_below(3);  // 4K / 8K / 16K
+  w.poisson_iops = 800.0 + 400.0 * static_cast<double>(rng.next_below(4));
   cfg.oracle.hang_oracle = chaos::hang_oracle_applicable(stack, plan);
   return cfg;
 }
 
-/// Minimizes + dumps one failing run (shared by both sweep paths; always
-/// called serially).
+/// Minimizes + dumps one failing run (always called serially).
 void handle_failure(const FuzzOptions& opt, int i, const HarnessConfig& cfg,
                     const RunReport& r, bool deterministic) {
   std::printf("[sim_fuzz] FAIL run %d: stack=%s seed=%llu plan=%zu events%s\n",
-              i, stack_name(cfg.stack).c_str(),
-              static_cast<unsigned long long>(cfg.seed),
+              i, stack_name(cfg.spec.stack).c_str(),
+              static_cast<unsigned long long>(cfg.spec.seed),
               cfg.plan.events.size(),
               deterministic ? "" : " (NON-DETERMINISTIC)");
   print_violations(r);
@@ -178,17 +181,17 @@ void handle_failure(const FuzzOptions& opt, int i, const HarnessConfig& cfg,
                 cfg.plan.events.size(), min.plan.events.size(), min.probes);
     char tag[64];
     std::snprintf(tag, sizeof tag, "%s_seed%llu",
-                  stack_name(cfg.stack).c_str(),
-                  static_cast<unsigned long long>(cfg.seed));
+                  stack_name(cfg.spec.stack).c_str(),
+                  static_cast<unsigned long long>(cfg.spec.seed));
     dump_repro(opt, cfg, min.plan, tag);
   }
 }
 
-/// `--jobs N` sweep: workers pull run indices from an atomic counter and
+/// The sweep: `--jobs` workers pull run indices from an atomic counter and
 /// buffer their outcomes; every run's config is derived from its index, so
 /// the work partition cannot change any result. Reporting, minimization and
 /// repro dumps happen serially afterwards, in index order.
-int run_sweep_parallel(const FuzzOptions& opt) {
+int run_sweep(const FuzzOptions& opt) {
   chaos::TopologyShape shapes[4];
   for (int s = 0; s < 4; ++s) shapes[s] = shape_for(kStacks[s]);
 
@@ -270,66 +273,6 @@ int run_sweep_parallel(const FuzzOptions& opt) {
   return failures == 0 ? 0 : 1;
 }
 
-int run_sweep(const FuzzOptions& opt) {
-  if (opt.jobs > 1) return run_sweep_parallel(opt);
-  chaos::TopologyShape shapes[4];
-  for (int s = 0; s < 4; ++s) shapes[s] = shape_for(kStacks[s]);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  int failures = 0;
-  int determinism_checks = 0;
-  int completed = 0;
-  std::uint64_t total_ios = 0;
-  std::uint64_t total_faults = 0;
-  std::uint64_t hang_oracle_runs = 0;
-
-  for (int i = 0; i < opt.runs; ++i) {
-    if (opt.max_seconds > 0) {
-      const double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      if (elapsed > opt.max_seconds) {
-        std::printf("[sim_fuzz] wall-clock box (%.0fs) hit after %d runs\n",
-                    opt.max_seconds, completed);
-        break;
-      }
-    }
-    const HarnessConfig cfg = config_for(opt, i, shapes);
-    hang_oracle_runs += cfg.oracle.hang_oracle ? 1 : 0;
-
-    const RunReport r = chaos::run_chaos(cfg);
-    ++completed;
-    total_ios += r.ios_completed;
-    total_faults += r.faults_applied;
-
-    bool deterministic = true;
-    if (opt.determinism_every > 0 && i % opt.determinism_every == 0) {
-      ++determinism_checks;
-      const RunReport again = chaos::run_chaos(cfg);
-      deterministic = again.signature() == r.signature();
-    }
-
-    if (!r.ok() || !deterministic) {
-      ++failures;
-      handle_failure(opt, i, cfg, r, deterministic);
-    } else if (i % 20 == 19) {
-      std::printf("[sim_fuzz] %d/%d runs clean...\n", i + 1, opt.runs);
-    }
-  }
-
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  std::printf(
-      "[sim_fuzz] %d runs (%d with hang oracle armed), %llu I/Os, %llu "
-      "faults injected, %d determinism double-runs, %d failures, %.1fs\n",
-      completed, static_cast<int>(hang_oracle_runs),
-      static_cast<unsigned long long>(total_ios),
-      static_cast<unsigned long long>(total_faults), determinism_checks,
-      failures, elapsed);
-  return failures == 0 ? 0 : 1;
-}
-
 /// Planted-bug hunt: SOLAR path failover disabled, stretched silent /
 /// blackhole faults on switches. The hang oracle (armed — these plans are
 /// hang-safe for a *healthy* SOLAR, that is Table 2's claim) must fire,
@@ -362,8 +305,8 @@ int run_plant_bug(const FuzzOptions& opt) {
     }
 
     HarnessConfig cfg;
-    cfg.stack = StackKind::kSolar;
-    cfg.seed = seed;
+    cfg.spec.stack = StackKind::kSolar;
+    cfg.spec.seed = seed;
     cfg.plan = plan;
     cfg.active = ms(1700);
     cfg.oracle.hang_oracle = true;
@@ -413,33 +356,42 @@ int run_plant_bug(const FuzzOptions& opt) {
   return 1;
 }
 
-int run_replay(const std::string& file, StackKind stack, std::uint64_t seed,
-               bool hang_oracle, bool planted_bug) {
-  std::ifstream f(file);
+bool read_file(const std::string& path, std::string* out) {
+  std::ifstream f(path);
   if (!f) {
-    std::fprintf(stderr, "sim_fuzz: cannot open %s\n", file.c_str());
-    return 2;
+    std::fprintf(stderr, "sim_fuzz: cannot open %s\n", path.c_str());
+    return false;
   }
   std::stringstream ss;
   ss << f.rdbuf();
-  FaultPlan plan;
-  std::string err;
-  if (!chaos::plan_from_json(ss.str(), &plan, &err)) {
-    std::fprintf(stderr, "sim_fuzz: bad plan %s: %s\n", file.c_str(),
-                 err.c_str());
+  *out = ss.str();
+  return true;
+}
+
+int run_replay(const std::string& plan_file, const std::string& spec_file,
+               bool hang_oracle, bool planted_bug) {
+  std::string plan_text, spec_text, err;
+  if (!read_file(plan_file, &plan_text) || !read_file(spec_file, &spec_text)) {
     return 2;
   }
   HarnessConfig cfg;
-  cfg.stack = stack;
-  cfg.seed = seed;
-  cfg.plan = plan;
+  if (!chaos::plan_from_json(plan_text, &cfg.plan, &err)) {
+    std::fprintf(stderr, "sim_fuzz: bad plan %s: %s\n", plan_file.c_str(),
+                 err.c_str());
+    return 2;
+  }
+  if (!ebs::scenario_from_json(spec_text, &cfg.spec, &err)) {
+    std::fprintf(stderr, "sim_fuzz: bad scenario %s: %s\n",
+                 spec_file.c_str(), err.c_str());
+    return 2;
+  }
   cfg.active = planted_bug ? ms(1700) : ms(600);
   cfg.oracle.hang_oracle = hang_oracle;
   cfg.disable_solar_failover = planted_bug;
   const RunReport r = chaos::run_chaos(cfg);
   std::printf("[sim_fuzz] replay %s: stack=%s seed=%llu -> %s (%s)\n",
-              file.c_str(), stack_name(stack).c_str(),
-              static_cast<unsigned long long>(seed),
+              plan_file.c_str(), stack_name(cfg.spec.stack).c_str(),
+              static_cast<unsigned long long>(cfg.spec.seed),
               r.ok() ? "CLEAN" : "VIOLATIONS", r.signature().c_str());
   print_violations(r);
   return r.ok() ? 0 : 1;
@@ -450,8 +402,7 @@ int run_replay(const std::string& file, StackKind stack, std::uint64_t seed,
 int main(int argc, char** argv) {
   FuzzOptions opt;
   std::string replay_file;
-  StackKind replay_stack = StackKind::kSolar;
-  std::uint64_t replay_seed = 1;
+  std::string replay_scenario;
   bool replay_hang_oracle = false;
   bool mode_plant = false;
 
@@ -481,13 +432,8 @@ int main(int argc, char** argv) {
       mode_plant = true;
     } else if (a == "--replay") {
       replay_file = next();
-    } else if (a == "--stack") {
-      if (!ebs::stack_from_string(next(), &replay_stack)) {
-        std::fprintf(stderr, "sim_fuzz: unknown stack\n");
-        return 2;
-      }
-    } else if (a == "--seed") {
-      replay_seed = std::strtoull(next(), nullptr, 10);
+    } else if (a == "--scenario") {
+      replay_scenario = next();
     } else if (a == "--hang-oracle") {
       replay_hang_oracle = true;
     } else if (a == "--planted-bug") {
@@ -497,15 +443,19 @@ int main(int argc, char** argv) {
                    "usage: sim_fuzz [--smoke | --runs N] [--jobs N]\n"
                    "                [--seed-base S]\n"
                    "                [--max-seconds S] [--out DIR] [--plant-bug]\n"
-                   "                [--replay FILE --stack NAME --seed N\n"
+                   "                [--replay PLAN --scenario SPEC\n"
                    "                 [--hang-oracle] [--planted-bug]]\n");
       return 2;
     }
   }
 
+  if (replay_file.empty() != replay_scenario.empty()) {
+    std::fprintf(stderr, "sim_fuzz: --replay and --scenario go together\n");
+    return 2;
+  }
   if (!replay_file.empty()) {
-    return run_replay(replay_file, replay_stack, replay_seed,
-                      replay_hang_oracle, opt.plant_bug);
+    return run_replay(replay_file, replay_scenario, replay_hang_oracle,
+                      opt.plant_bug);
   }
   if (mode_plant) return run_plant_bug(opt);
   return run_sweep(opt);

@@ -97,12 +97,12 @@ std::vector<Scenario> make_scenarios() {
 }
 
 std::uint64_t run_scenario(StackKind stack, const Scenario& scenario) {
-  auto params = bench::default_params(stack, /*compute=*/4, /*storage=*/4,
+  auto spec = bench::default_scenario(stack, /*compute=*/4, /*storage=*/4,
                                       /*seed=*/1234);
-  params.topo.servers_per_rack = 2;  // two ToR pairs per pod
-  params.topo.spines_per_pod = 2;
-  params.topo.core_switches = 2;
-  auto c = bench::make_cluster(params);
+  spec.servers_per_rack = 2;  // two ToR pairs per pod
+  spec.spines_per_pod = 2;
+  spec.core_switches = 2;
+  auto c = ebs::build_scenario(spec);
   auto& eng = *c.engine;
 
   // Paper's generated traffic: blocks 4-32KB, R:W = 1:4. Open loop at a

@@ -1,6 +1,7 @@
 #include "chaos/fault_plan.h"
 
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -90,6 +91,9 @@ bool parse_target_kind(const std::string& s, TargetKind* out) {
 
 std::string FaultPlan::to_json() const {
   std::ostringstream os;
+  // Enough digits that every magnitude parses back to the same bits: a
+  // dumped plan must replay the run that produced it.
+  os.precision(std::numeric_limits<double>::max_digits10);
   obs::JsonWriter w(os);
   w.begin_object();
   w.key("name").value(name);

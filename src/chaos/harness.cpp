@@ -1,6 +1,8 @@
 #include "chaos/harness.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -82,30 +84,22 @@ bool hang_oracle_applicable(ebs::StackKind stack, const FaultPlan& plan) {
   return true;
 }
 
-ebs::ScenarioSpec HarnessConfig::scenario() const {
+ebs::ScenarioSpec default_harness_spec() {
   ebs::ScenarioSpec spec;
   spec.name = "chaos";
-  spec.compute_nodes = compute_nodes;
-  spec.storage_nodes = storage_nodes;
-  spec.servers_per_rack = servers_per_rack > 0
-                              ? servers_per_rack
-                              : std::max(1, (storage_nodes + 1) / 2);
-  spec.stack = stack;
-  spec.compute_stacks = compute_stacks;
-  spec.seed = seed;
+  spec.compute_nodes = 2;
+  spec.storage_nodes = 4;
+  spec.servers_per_rack = 2;
+  spec.stack = ebs::StackKind::kSolar;
+  spec.seed = 1;
   spec.store_payload = true;  // durability oracle needs bytes
   spec.vd_size_bytes = 1ull << 30;
-  spec.workload.block_size = block_size;
-  spec.workload.iodepth = iodepth;
-  spec.workload.read_fraction = read_fraction;
+  spec.workload.block_size = 8192;
+  spec.workload.iodepth = 4;
+  spec.workload.read_fraction = 0.3;
   spec.workload.real_payload = true;
-  spec.workload.max_ios = static_cast<std::uint64_t>(fio_max_ios);
-  spec.workload.poisson_iops = poisson_iops;
-  spec.shards = shards;
-  spec.threads = threads;
-  spec.qos = qos;
-  spec.ec = ec;
-  spec.placement = placement;
+  spec.workload.max_ios = 400;  // closed loop must not swamp the run
+  spec.workload.poisson_iops = 1500.0;  // per compute node
   return spec;
 }
 
@@ -161,7 +155,31 @@ bool maintenance_idle(ebs::Cluster& cluster) {
 /// submit/complete hooks always run on the node's home shard and boards
 /// never cross shards.
 RunReport run_chaos(const HarnessConfig& cfg) {
-  const ebs::ScenarioSpec spec = cfg.scenario();
+  const ebs::ScenarioSpec& spec = cfg.spec;
+  if (!spec.vds.empty() &&
+      spec.vds.size() != static_cast<std::size_t>(spec.compute_nodes)) {
+    // Each compute node drives exactly one VD; any other count would leave
+    // VDs idle or index past the list.
+    std::fprintf(stderr,
+                 "run_chaos: spec.vds has %zu entries for %d compute nodes\n",
+                 spec.vds.size(), spec.compute_nodes);
+    std::abort();
+  }
+  if (!spec.store_payload || !spec.workload.real_payload) {
+    // The durability oracle reads back acked bytes; without them every
+    // read-back would be a false violation.
+    std::fprintf(stderr,
+                 "run_chaos: spec needs store_payload and workload.real_payload"
+                 " (store_payload=%d, real_payload=%d)\n",
+                 spec.store_payload ? 1 : 0,
+                 spec.workload.real_payload ? 1 : 0);
+    std::abort();
+  }
+  auto vd_size = [&spec](int node) {
+    return spec.vds.empty()
+               ? spec.vd_size_bytes
+               : spec.vds[static_cast<std::size_t>(node)].size_bytes;
+  };
   ebs::ClusterParams params = ebs::params_from(spec);
   params.obs = cfg.obs;
   if (cfg.dpu_cpu_cores > 0) params.dpu.cpu_cores = cfg.dpu_cpu_cores;
@@ -171,15 +189,12 @@ RunReport run_chaos(const HarnessConfig& cfg) {
   }
   ebs::Scenario s = ebs::build_scenario(spec, std::move(params));
   ebs::Cluster& cluster = *s.cluster;
-  if (cfg.slo_all) {
-    for (const std::uint64_t vd : s.vds) cluster.set_slo(vd, cfg.slo);
-  }
 
   const int nodes = cluster.num_compute();
   std::vector<OracleBoard> boards(static_cast<std::size_t>(nodes),
                                   OracleBoard(cfg.oracle));
   Injector injector(cluster);
-  Rng rng(cfg.seed ^ 0xC4A05F'44D2ull);
+  Rng rng(spec.seed ^ 0xC4A05F'44D2ull);
 
   // `cluster.engine().now()` routes through the calling thread's shard
   // context, so inside submit/complete hooks it reads the home engine.
@@ -198,12 +213,13 @@ RunReport run_chaos(const HarnessConfig& cfg) {
 
   workload::FioConfig fc;
   fc.vd_id = s.vds[0];
-  fc.vd_size = spec.vd_size_bytes;
+  fc.vd_size = vd_size(0);
   fc.block_size = spec.workload.block_size;
   fc.iodepth = spec.workload.iodepth;
   fc.read_fraction = spec.workload.read_fraction;
+  fc.sequential = spec.workload.sequential;
   fc.real_payload = spec.workload.real_payload;
-  fc.max_ios = spec.workload.max_ios;  // closed loop must not swamp the run
+  fc.max_ios = spec.workload.max_ios;
   std::unique_ptr<workload::FioJob> fio;
   {
     sim::ShardScope scope(cluster.compute_shard(0));
@@ -216,7 +232,7 @@ RunReport run_chaos(const HarnessConfig& cfg) {
   for (int i = 0; i < nodes; ++i) {
     workload::PoissonConfig pc;
     pc.vd_id = s.vds[static_cast<std::size_t>(i)];
-    pc.vd_size = spec.vd_size_bytes;
+    pc.vd_size = vd_size(i);
     pc.iops = spec.workload.poisson_iops;
     pc.read_fraction = spec.workload.read_fraction;
     pc.block_size = spec.workload.block_size;

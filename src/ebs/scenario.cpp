@@ -1,5 +1,6 @@
 #include "ebs/scenario.h"
 
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -39,10 +40,23 @@ bool parse_stack(const obs::JsonValue& v, StackKind* out, std::string* error) {
   return true;
 }
 
+/// Reads `obj[key]`, when present, as an exact unsigned integer: through a
+/// double a seed or byte count above 2^53 would round, and a repro spec
+/// must replay the seed that failed.
+bool read_uint(const obs::JsonValue& obj, const char* key, const char* where,
+               std::uint64_t* out, std::string* error) {
+  if (obj.find(key) == nullptr || obs::json_uint(obj, key, out)) return true;
+  *error = std::string(where) + ": " + key + " must be a non-negative integer";
+  return false;
+}
+
 }  // namespace
 
 std::string ScenarioSpec::to_json() const {
   std::ostringstream os;
+  // Enough digits that every double (read fraction, QoS rates) parses back
+  // to the same bits: the spec is half of a replayable repro bundle.
+  os.precision(std::numeric_limits<double>::max_digits10);
   obs::JsonWriter w(os);
   w.begin_object();
   w.field("name", name);
@@ -111,7 +125,6 @@ std::string ScenarioSpec::to_json() const {
     w.key("placement");
     placement::write_placement_params(w, placement);
   }
-  if (!fault_plan_file.empty()) w.field("fault_plan_file", fault_plan_file);
   w.end_object();
   return os.str();
 }
@@ -132,7 +145,7 @@ bool scenario_from_json(const std::string& text, ScenarioSpec* out,
           root,
           {"name", "topology", "vd_stripe_width", "stack", "compute_stacks",
            "on_dpu", "seed", "store_payload", "vd_size_bytes", "vds",
-           "workload", "qos", "ec", "placement", "fault_plan_file"},
+           "workload", "qos", "ec", "placement"},
           "scenario", error)) {
     return false;
   }
@@ -190,12 +203,11 @@ bool scenario_from_json(const std::string& text, ScenarioSpec* out,
     }
   }
   obs::json_bool(root, "on_dpu", &spec.on_dpu);
-  if (obs::json_number(root, "seed", &num)) {
-    spec.seed = static_cast<std::uint64_t>(num);
-  }
+  if (!read_uint(root, "seed", "scenario", &spec.seed, error)) return false;
   obs::json_bool(root, "store_payload", &spec.store_payload);
-  if (obs::json_number(root, "vd_size_bytes", &num)) {
-    spec.vd_size_bytes = static_cast<std::uint64_t>(num);
+  if (!read_uint(root, "vd_size_bytes", "scenario", &spec.vd_size_bytes,
+                 error)) {
+    return false;
   }
   if (const obs::JsonValue* v = root.find("vds")) {
     if (v->type != obs::JsonValue::Type::kArray) {
@@ -212,8 +224,9 @@ bool scenario_from_json(const std::string& text, ScenarioSpec* out,
                                 "scenario.vds", error)) {
         return false;
       }
-      if (obs::json_number(item, "size_bytes", &num)) {
-        vd.size_bytes = static_cast<std::uint64_t>(num);
+      if (!read_uint(item, "size_bytes", "scenario.vds", &vd.size_bytes,
+                     error)) {
+        return false;
       }
       if (const obs::JsonValue* q = item.find("qos")) {
         if (!obs::json_check_keys(*q,
@@ -264,8 +277,9 @@ bool scenario_from_json(const std::string& text, ScenarioSpec* out,
     obs::json_number(*v, "read_fraction", &spec.workload.read_fraction);
     obs::json_bool(*v, "sequential", &spec.workload.sequential);
     obs::json_bool(*v, "real_payload", &spec.workload.real_payload);
-    if (obs::json_number(*v, "max_ios", &num)) {
-      spec.workload.max_ios = static_cast<std::uint64_t>(num);
+    if (!read_uint(*v, "max_ios", "scenario.workload",
+                   &spec.workload.max_ios, error)) {
+      return false;
     }
     obs::json_number(*v, "poisson_iops", &spec.workload.poisson_iops);
   }
@@ -305,7 +319,6 @@ bool scenario_from_json(const std::string& text, ScenarioSpec* out,
       return false;
     }
   }
-  obs::json_string(root, "fault_plan_file", &spec.fault_plan_file);
   *out = std::move(spec);
   return true;
 }

@@ -1,7 +1,7 @@
 // ScenarioSpec: one declarative description of an EBS experiment — topology,
 // per-node stack assignment, virtual disks with optional QoS, workload knobs
-// and an optional chaos fault-plan reference — that round-trips through JSON
-// and builds through a single entry point.
+// and the qos / EC / placement / sharding layers — that round-trips through
+// JSON and builds through a single entry point.
 //
 // Every harness (bench_util, the chaos harness, sim_fuzz, tests) derives its
 // cluster from a spec, so "what did this run simulate" is one JSON blob, not
@@ -77,8 +77,6 @@ struct ScenarioSpec {
   /// Cluster-level placement knobs (src/placement). Disabled by default:
   /// no policy is built and layouts are bit-identical to pre-field specs.
   placement::PlacementParams placement;
-  /// Optional path to a chaos::FaultPlan JSON to inject during the run.
-  std::string fault_plan_file;
 
   std::string to_json() const;
 };

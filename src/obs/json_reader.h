@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <initializer_list>
 #include <memory>
@@ -25,7 +27,7 @@ struct JsonValue {
   Type type = Type::kNull;
   bool b = false;
   double num = 0.0;
-  std::string str;
+  std::string str;                   // kString, or a kNumber's own text
   std::vector<JsonValue> items;      // kArray
   std::unique_ptr<JsonMembers> obj;  // kObject
 
@@ -198,7 +200,8 @@ class JsonReader {
     }
     if (pos_ == start) return fail("expected value");
     out->type = JsonValue::Type::kNumber;
-    out->num = std::strtod(s_.substr(start, pos_ - start).c_str(), nullptr);
+    out->str = s_.substr(start, pos_ - start);
+    out->num = std::strtod(out->str.c_str(), nullptr);
     return true;
   }
 
@@ -212,6 +215,21 @@ inline bool json_number(const JsonValue& obj, const char* key, double* out) {
   const JsonValue* v = obj.find(key);
   if (v == nullptr || v->type != JsonValue::Type::kNumber) return false;
   *out = v->num;
+  return true;
+}
+
+/// Fetches `obj[key]` as an unsigned integer parsed from the number's own
+/// text, so values above 2^53 (seeds, byte counts) keep every bit; false if
+/// absent, not numeric, or not a plain non-negative integer.
+inline bool json_uint(const JsonValue& obj, const char* key,
+                      std::uint64_t* out) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr || v->type != JsonValue::Type::kNumber) return false;
+  const char* end = v->str.data() + v->str.size();
+  std::uint64_t x = 0;
+  const std::from_chars_result r = std::from_chars(v->str.data(), end, x);
+  if (r.ec != std::errc() || r.ptr != end) return false;
+  *out = x;
   return true;
 }
 

@@ -27,10 +27,10 @@ struct KindCase {
 
 HarnessConfig base_config() {
   HarnessConfig cfg;
-  cfg.stack = StackKind::kSolar;  // has FPGA, so every kind is injectable
-  cfg.seed = 404;
+  cfg.spec.stack = StackKind::kSolar;  // has FPGA: every kind is injectable
+  cfg.spec.seed = 404;
   cfg.active = ms(700);
-  cfg.poisson_iops = 1000.0;
+  cfg.spec.workload.poisson_iops = 1000.0;
   cfg.readback_samples = 24;
   return cfg;
 }
@@ -112,10 +112,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 HarnessConfig ec_config() {
   HarnessConfig cfg = base_config();
-  cfg.seed = 405;
-  cfg.ec.enabled = true;
-  cfg.ec.k = 2;
-  cfg.ec.m = 1;  // pool of 4 storage nodes = k + m + 1: one spare
+  cfg.spec.seed = 405;
+  cfg.spec.ec.enabled = true;
+  cfg.spec.ec.k = 2;
+  cfg.spec.ec.m = 1;  // pool of 4 storage nodes = k + m + 1: one spare
   return cfg;
 }
 

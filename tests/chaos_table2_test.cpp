@@ -31,12 +31,12 @@ FaultPlan one_event(FaultKind kind, FaultTarget target, TimeNs duration,
 
 RunReport run(StackKind stack, const FaultPlan& plan) {
   HarnessConfig cfg;
-  cfg.stack = stack;
-  cfg.seed = 1234;
+  cfg.spec.stack = stack;
+  cfg.spec.seed = 1234;
   cfg.plan = plan;
   cfg.active = ms(1500);
-  cfg.poisson_iops = 1200.0;
-  cfg.read_fraction = 0.2;  // paper's R:W = 1:4
+  cfg.spec.workload.poisson_iops = 1200.0;
+  cfg.spec.workload.read_fraction = 0.2;  // paper's R:W = 1:4
   return run_chaos(cfg);
 }
 
@@ -62,12 +62,12 @@ TEST(ChaosTable2, TorBlackholeHangsLunaNeverSolar) {
   const RunReport luna = run(StackKind::kLuna, plan);
 
   HarnessConfig solar_cfg;
-  solar_cfg.stack = StackKind::kSolar;
-  solar_cfg.seed = 1234;
+  solar_cfg.spec.stack = StackKind::kSolar;
+  solar_cfg.spec.seed = 1234;
   solar_cfg.plan = plan;
   solar_cfg.active = ms(1500);
-  solar_cfg.poisson_iops = 1200.0;
-  solar_cfg.read_fraction = 0.2;
+  solar_cfg.spec.workload.poisson_iops = 1200.0;
+  solar_cfg.spec.workload.read_fraction = 0.2;
   solar_cfg.oracle.hang_oracle = true;  // SOLAR-zero as a hard invariant
   const RunReport solar = run_chaos(solar_cfg);
 
@@ -126,14 +126,14 @@ TEST(ChaosTable2, TorRebootComposesFailStopAndSilentWindow) {
   // The silent window must outlast the 1 s hang threshold for pinned
   // LUNA I/Os to cross the line.
   HarnessConfig cfg;
-  cfg.seed = 1234;
+  cfg.spec.seed = 1234;
   cfg.plan = plan;
   cfg.active = ms(2300);
-  cfg.poisson_iops = 1200.0;
-  cfg.read_fraction = 0.2;
-  cfg.stack = StackKind::kLuna;
+  cfg.spec.workload.poisson_iops = 1200.0;
+  cfg.spec.workload.read_fraction = 0.2;
+  cfg.spec.stack = StackKind::kLuna;
   const RunReport luna = run_chaos(cfg);
-  cfg.stack = StackKind::kSolar;
+  cfg.spec.stack = StackKind::kSolar;
   const RunReport solar = run_chaos(cfg);
   EXPECT_GT(luna.hangs, 0u);   // the unprogrammed-FIB window pins LUNA
   EXPECT_EQ(solar.hangs, 0u);

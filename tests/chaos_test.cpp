@@ -326,10 +326,10 @@ TEST(Minimizer, DropsIrrelevantEventsAndShrinksDurations) {
 
 HarnessConfig quick_config(ebs::StackKind stack, std::uint64_t seed) {
   HarnessConfig cfg;
-  cfg.stack = stack;
-  cfg.seed = seed;
+  cfg.spec.stack = stack;
+  cfg.spec.seed = seed;
   cfg.active = ms(400);
-  cfg.poisson_iops = 800.0;
+  cfg.spec.workload.poisson_iops = 800.0;
   cfg.readback_samples = 16;
   return cfg;
 }
@@ -361,6 +361,59 @@ TEST(Harness, ChaosRunIsBitReproducible) {
   EXPECT_EQ(a.signature(), b.signature());
   EXPECT_GT(a.faults_applied, 0u);
   EXPECT_EQ(a.faults_applied, a.faults_reverted);
+}
+
+// A repro bundle is the spec's JSON plus the plan's: rebuilding the config
+// from those two strings alone must replay the run bit for bit, workload
+// knobs included (a sim_fuzz-style draw, read fraction 0.2 + 0.15 * 3 being
+// a double the default 6-digit print would round).
+TEST(Harness, ReplayFromSpecAndPlanJsonMatchesOriginal) {
+  TopologyShape shape = test_shape();
+  shape.has_fpga = false;
+  Rng rng(1001);
+  GeneratorConfig gc;
+  gc.window = ms(300);
+  HarnessConfig cfg = quick_config(ebs::StackKind::kLuna, 1001);
+  cfg.plan = generate_plan(rng, gc, shape);
+  cfg.spec.workload.read_fraction = 0.2 + 0.15 * 3;
+  cfg.spec.workload.block_size = 16384;
+  ASSERT_FALSE(cfg.plan.events.empty());
+
+  HarnessConfig replay = quick_config(ebs::StackKind::kSolar, 1);
+  std::string err;
+  ASSERT_TRUE(ebs::scenario_from_json(cfg.spec.to_json(), &replay.spec, &err))
+      << err;
+  ASSERT_TRUE(plan_from_json(cfg.plan.to_json(), &replay.plan, &err)) << err;
+  EXPECT_EQ(replay.spec.workload.read_fraction,
+            cfg.spec.workload.read_fraction);
+  EXPECT_EQ(replay.plan.to_json(), cfg.plan.to_json());
+  const RunReport original = run_chaos(cfg);
+  EXPECT_GT(original.faults_applied, 0u);
+  EXPECT_EQ(run_chaos(replay).signature(), original.signature());
+}
+
+// Each compute node drives one VD: a VD list of any other length cannot be
+// honoured, so the harness refuses it instead of indexing past the list.
+TEST(HarnessDeathTest, VdCountOtherThanComputeNodesAborts) {
+  HarnessConfig cfg = quick_config(ebs::StackKind::kSolar, 1);
+  ebs::VdSpec vd;
+  vd.size_bytes = cfg.spec.vd_size_bytes;
+  cfg.spec.vds.assign(static_cast<std::size_t>(cfg.spec.compute_nodes) + 1,
+                      vd);
+  EXPECT_DEATH(run_chaos(cfg), "spec.vds has 3 entries for 2 compute nodes");
+}
+
+// The durability oracle reads back acked bytes, so a spec that stores or
+// writes none is refused instead of reporting false losses.
+TEST(HarnessDeathTest, RunWithoutPayloadsAborts) {
+  HarnessConfig no_store = quick_config(ebs::StackKind::kSolar, 1);
+  no_store.spec.store_payload = false;
+  EXPECT_DEATH(run_chaos(no_store),
+               "needs store_payload and workload.real_payload");
+  HarnessConfig no_payload = quick_config(ebs::StackKind::kSolar, 1);
+  no_payload.spec.workload.real_payload = false;
+  EXPECT_DEATH(run_chaos(no_payload),
+               "needs store_payload and workload.real_payload");
 }
 
 // One long silent ToR. Healthy SOLAR redraws paths and stays hang-free

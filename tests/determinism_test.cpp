@@ -186,25 +186,25 @@ TEST(Determinism, ChaosSweepInstrumentedVsDarkAcrossSixteenSeeds) {
   std::uint64_t total_faults = 0;
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     chaos::HarnessConfig cfg;
-    cfg.stack = stacks[seed % 4];
-    cfg.seed = seed * 7919;
+    cfg.spec.stack = stacks[seed % 4];
+    cfg.spec.seed = seed * 7919;
     cfg.active = ms(250);
-    cfg.poisson_iops = 900.0;
+    cfg.spec.workload.poisson_iops = 900.0;
     cfg.readback_samples = 12;
 
     Rng plan_rng(seed);
     chaos::GeneratorConfig gc;
     gc.window = ms(200);
     chaos::TopologyShape shape;
-    shape.compute_nodes = cfg.compute_nodes;
-    shape.storage_nodes = cfg.storage_nodes;
+    shape.compute_nodes = cfg.spec.compute_nodes;
+    shape.storage_nodes = cfg.spec.storage_nodes;
     shape.compute_tors = 2;
     shape.storage_tors = 4;
     shape.compute_spines = 2;
     shape.storage_spines = 2;
     shape.cores = 2;
     shape.replica_ssds = 3;
-    shape.has_fpga = cfg.stack == ebs::StackKind::kSolar;
+    shape.has_fpga = cfg.spec.stack == ebs::StackKind::kSolar;
     cfg.plan = chaos::generate_plan(plan_rng, gc, shape);
 
     const chaos::RunReport dark = chaos::run_chaos(cfg);
@@ -350,19 +350,19 @@ TEST(Determinism, ShardedObservabilityIsEffectFreeAndThreadInvariant) {
 // events, final clock — must not move with the thread count.
 TEST(Determinism, ShardedChaosSignatureThreadCountInvariant) {
   chaos::HarnessConfig cfg;
-  cfg.stack = ebs::StackKind::kSolar;
-  cfg.seed = 31337;
+  cfg.spec.stack = ebs::StackKind::kSolar;
+  cfg.spec.seed = 31337;
   cfg.active = ms(250);
-  cfg.poisson_iops = 900.0;
+  cfg.spec.workload.poisson_iops = 900.0;
   cfg.readback_samples = 12;
-  cfg.shards = 2;
+  cfg.spec.shards = 2;
 
   Rng plan_rng(7);
   chaos::GeneratorConfig gc;
   gc.window = ms(200);
   chaos::TopologyShape shape;
-  shape.compute_nodes = cfg.compute_nodes;
-  shape.storage_nodes = cfg.storage_nodes;
+  shape.compute_nodes = cfg.spec.compute_nodes;
+  shape.storage_nodes = cfg.spec.storage_nodes;
   shape.compute_tors = 2;
   shape.storage_tors = 4;
   shape.compute_spines = 2;
@@ -372,11 +372,11 @@ TEST(Determinism, ShardedChaosSignatureThreadCountInvariant) {
   shape.has_fpga = true;
   cfg.plan = chaos::generate_plan(plan_rng, gc, shape);
 
-  cfg.threads = 1;
+  cfg.spec.threads = 1;
   const chaos::RunReport t1 = chaos::run_chaos(cfg);
-  cfg.threads = 2;
+  cfg.spec.threads = 2;
   const chaos::RunReport t2 = chaos::run_chaos(cfg);
-  cfg.threads = 8;
+  cfg.spec.threads = 8;
   const chaos::RunReport t8 = chaos::run_chaos(cfg);
 
   EXPECT_EQ(t1.signature(), t2.signature());

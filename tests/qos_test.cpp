@@ -289,22 +289,33 @@ TEST(QosDeterminism, BitIdenticalAcrossThreads) {
 // which the oracles must treat as an error outcome — never as a lost or
 // duplicated I/O, and never as a hang.
 
+/// Declares one VD per compute node, each at the spec's default size and
+/// under the `slo` contract.
+void slo_on_every_vd(ebs::ScenarioSpec* spec, const SloSpec& slo) {
+  ebs::VdSpec vd;
+  vd.size_bytes = spec->vd_size_bytes;
+  vd.has_slo = true;
+  vd.slo = slo;
+  spec->vds.assign(static_cast<std::size_t>(spec->compute_nodes), vd);
+}
+
 TEST(QosChaos, RejectionStormKeepsOraclesGreen) {
   chaos::HarnessConfig cfg;
-  cfg.stack = ebs::StackKind::kSolar;
-  cfg.seed = 7;
-  cfg.poisson_iops = 30000.0;  // storm: ~10x one throttled core
+  cfg.spec.stack = ebs::StackKind::kSolar;
+  cfg.spec.seed = 7;
+  cfg.spec.workload.poisson_iops = 30000.0;  // storm: ~10x one throttled core
   cfg.dpu_cpu_cores = 1;
   cfg.solar_cpu_per_rpc = us(100);
-  cfg.fio_max_ios = 100;
+  cfg.spec.workload.max_ios = 100;
   cfg.active = ms(200);
-  cfg.qos.enabled = true;
-  cfg.qos.early_reject = true;
-  cfg.qos.sched_enabled = true;
-  cfg.qos.headroom = 0.8;
-  cfg.slo_all = true;
-  cfg.slo.target_p99 = ms(2);
-  cfg.slo.cls = SloClass::kBestEffort;
+  cfg.spec.qos.enabled = true;
+  cfg.spec.qos.early_reject = true;
+  cfg.spec.qos.sched_enabled = true;
+  cfg.spec.qos.headroom = 0.8;
+  SloSpec slo;
+  slo.target_p99 = ms(2);
+  slo.cls = SloClass::kBestEffort;
+  slo_on_every_vd(&cfg.spec, slo);
 
   const chaos::RunReport report = chaos::run_chaos(cfg);
   EXPECT_TRUE(report.ok()) << report.violations.size() << " violations";
@@ -405,21 +416,22 @@ TEST(QosEc, RebuildTrafficServedBestEffort) {
 TEST(QosEc, RebuildStormDeterministicAcrossThreads) {
   auto config = [](int threads) {
     chaos::HarnessConfig cfg;
-    cfg.stack = ebs::StackKind::kSolar;
-    cfg.seed = 19;
+    cfg.spec.stack = ebs::StackKind::kSolar;
+    cfg.spec.seed = 19;
     cfg.active = ms(300);
-    cfg.fio_max_ios = 120;
-    cfg.poisson_iops = 800.0;
+    cfg.spec.workload.max_ios = 120;
+    cfg.spec.workload.poisson_iops = 800.0;
     cfg.readback_samples = 16;
-    cfg.ec.enabled = true;
-    cfg.ec.k = 2;
-    cfg.ec.m = 1;
-    cfg.qos.enabled = true;
-    cfg.qos.sched_enabled = true;
-    cfg.slo_all = true;
-    cfg.slo.cls = SloClass::kGuaranteed;
-    cfg.slo.target_p99 = ms(5);
-    cfg.slo.guaranteed_iops = 200.0;
+    cfg.spec.ec.enabled = true;
+    cfg.spec.ec.k = 2;
+    cfg.spec.ec.m = 1;
+    cfg.spec.qos.enabled = true;
+    cfg.spec.qos.sched_enabled = true;
+    SloSpec slo;
+    slo.cls = SloClass::kGuaranteed;
+    slo.target_p99 = ms(5);
+    slo.guaranteed_iops = 200.0;
+    slo_on_every_vd(&cfg.spec, slo);
     chaos::FaultEvent e;
     e.at = ms(50);
     e.duration = ms(150);
@@ -428,8 +440,8 @@ TEST(QosEc, RebuildStormDeterministicAcrossThreads) {
     e.target.index = 1;
     cfg.plan.name = "qos-ec-rebuild-storm";
     cfg.plan.events.push_back(e);
-    cfg.shards = 2;
-    cfg.threads = threads;
+    cfg.spec.shards = 2;
+    cfg.spec.threads = threads;
     return cfg;
   };
   const chaos::RunReport t1 = chaos::run_chaos(config(1));
@@ -444,19 +456,20 @@ TEST(QosEc, RebuildStormDeterministicAcrossThreads) {
 // A rejection-storm run is itself deterministic (same signature twice).
 TEST(QosChaos, RejectionStormDeterministic) {
   chaos::HarnessConfig cfg;
-  cfg.stack = ebs::StackKind::kSolar;
-  cfg.seed = 11;
-  cfg.poisson_iops = 20000.0;
+  cfg.spec.stack = ebs::StackKind::kSolar;
+  cfg.spec.seed = 11;
+  cfg.spec.workload.poisson_iops = 20000.0;
   cfg.dpu_cpu_cores = 1;
   cfg.solar_cpu_per_rpc = us(100);
-  cfg.fio_max_ios = 50;
+  cfg.spec.workload.max_ios = 50;
   cfg.active = ms(100);
-  cfg.qos.enabled = true;
-  cfg.qos.early_reject = true;
-  cfg.qos.headroom = 0.8;
-  cfg.slo_all = true;
-  cfg.slo.target_p99 = ms(2);
-  cfg.slo.cls = SloClass::kBestEffort;
+  cfg.spec.qos.enabled = true;
+  cfg.spec.qos.early_reject = true;
+  cfg.spec.qos.headroom = 0.8;
+  SloSpec slo;
+  slo.target_p99 = ms(2);
+  slo.cls = SloClass::kBestEffort;
+  slo_on_every_vd(&cfg.spec, slo);
 
   const chaos::RunReport a = chaos::run_chaos(cfg);
   const chaos::RunReport b = chaos::run_chaos(cfg);

@@ -62,26 +62,26 @@ constexpr FamilyCase kFamilies[] = {
 HarnessConfig family_config(const FamilyCase& fc, int shards = 1,
                             int threads = 1) {
   HarnessConfig cfg;
-  cfg.stack = fc.stack;
-  cfg.seed = 2024;
-  cfg.compute_nodes = 2;
-  cfg.storage_nodes = 4;
-  cfg.servers_per_rack = 2;
-  cfg.shards = shards;
-  cfg.threads = threads;
+  cfg.spec.stack = fc.stack;
+  cfg.spec.seed = 2024;
+  cfg.spec.compute_nodes = 2;
+  cfg.spec.storage_nodes = 4;
+  cfg.spec.servers_per_rack = 2;
+  cfg.spec.shards = shards;
+  cfg.spec.threads = threads;
   cfg.active = ms(400);
-  cfg.fio_max_ios = 150;
-  cfg.poisson_iops = 600.0;
+  cfg.spec.workload.max_ios = 150;
+  cfg.spec.workload.poisson_iops = 600.0;
   cfg.readback_samples = 24;
   if (fc.ec) {
-    cfg.ec.enabled = true;
-    cfg.ec.k = 2;
-    cfg.ec.m = 1;
+    cfg.spec.ec.enabled = true;
+    cfg.spec.ec.k = 2;
+    cfg.spec.ec.m = 1;
   }
   if (fc.policy != nullptr) {
-    cfg.placement.enabled = true;
-    EXPECT_TRUE(
-        placement::policy_from_string(fc.policy, &cfg.placement.policy));
+    cfg.spec.placement.enabled = true;
+    EXPECT_TRUE(placement::policy_from_string(fc.policy,
+                                              &cfg.spec.placement.policy));
   }
   return cfg;
 }
@@ -181,15 +181,15 @@ TEST(EcConformance, RackAwareSpreadSurvivesWholeRackFailStop) {
   auto rack_fail_config = [](const char* policy) {
     const FamilyCase ec{StackKind::kSolar, true, "ec"};
     HarnessConfig cfg = family_config(ec);
-    cfg.storage_nodes = 6;
-    cfg.servers_per_rack = 2;  // racks {0,1},{2,3},{4,5}
+    cfg.spec.storage_nodes = 6;
+    cfg.spec.servers_per_rack = 2;  // racks {0,1},{2,3},{4,5}
     cfg.plan.name = "rack-fail";
     cfg.plan.events.push_back(storage_stop(2));
     cfg.plan.events.push_back(storage_stop(3));
     if (policy != nullptr) {
-      cfg.placement.enabled = true;
-      EXPECT_TRUE(
-          placement::policy_from_string(policy, &cfg.placement.policy));
+      cfg.spec.placement.enabled = true;
+      EXPECT_TRUE(placement::policy_from_string(policy,
+                                                &cfg.spec.placement.policy));
     }
     return cfg;
   };

@@ -99,7 +99,6 @@ ScenarioSpec full_spec() {
   spec.workload.real_payload = true;
   spec.workload.max_ios = 123;
   spec.workload.poisson_iops = 450.0;
-  spec.fault_plan_file = "plans/p1.json";
   spec.ec.enabled = true;
   spec.ec.k = 4;
   spec.ec.m = 2;
@@ -165,6 +164,48 @@ TEST(ScenarioSpec, RejectsUnrecognizedFieldsAtEveryLevel) {
       R"({"vds":[{"size_bytes":1048576,"qos":{"iops":100}}]})", &out, &err));
   EXPECT_FALSE(
       scenario_from_json(R"({"qos":{"enable":true}})", &out, &err));
+}
+
+// A spec names no fault plan: chaos runs carry their plan beside the spec
+// (sim_fuzz repro bundles are one file each), so the key that used to be
+// parsed and then ignored is now an unknown key.
+TEST(ScenarioSpec, RejectsRemovedFaultPlanFileKey) {
+  ScenarioSpec out;
+  std::string err;
+  EXPECT_FALSE(scenario_from_json(R"({"fault_plan_file":"x"})", &out, &err));
+  EXPECT_NE(err.find("fault_plan_file"), std::string::npos) << err;
+}
+
+// Seeds and byte counts are read from their JSON text, not through a
+// double: a repro spec of a run seeded above 2^53 must replay that seed.
+TEST(ScenarioSpec, IntegerFieldsAbove2To53RoundTripExactly) {
+  ScenarioSpec spec;
+  spec.seed = (1ull << 53) + 1;
+  spec.vd_size_bytes = (1ull << 60) + 1;
+  spec.workload.max_ios = ~0ull;
+  VdSpec vd;
+  vd.size_bytes = (1ull << 55) + 3;
+  spec.vds.push_back(vd);
+  ScenarioSpec back;
+  std::string err;
+  ASSERT_TRUE(scenario_from_json(spec.to_json(), &back, &err)) << err;
+  EXPECT_EQ(back.seed, (1ull << 53) + 1);
+  EXPECT_EQ(back.vd_size_bytes, (1ull << 60) + 1);
+  EXPECT_EQ(back.workload.max_ios, ~0ull);
+  ASSERT_EQ(back.vds.size(), 1u);
+  EXPECT_EQ(back.vds[0].size_bytes, (1ull << 55) + 3);
+
+  // Anything but a plain non-negative integer is refused, naming the key.
+  for (const char* bad : {R"({"seed":1.5})", R"({"seed":-1})",
+                          R"({"seed":1e3})", R"({"seed":18446744073709551616})",
+                          R"({"workload":{"max_ios":2.0}})",
+                          R"({"vds":[{"size_bytes":-4096}]})"}) {
+    ScenarioSpec out;
+    err.clear();
+    EXPECT_FALSE(scenario_from_json(bad, &out, &err)) << bad;
+    EXPECT_NE(err.find("must be a non-negative integer"), std::string::npos)
+        << bad << ": " << err;
+  }
 }
 
 TEST(ScenarioSpec, EcKnobsParseStrictly) {
@@ -288,11 +329,11 @@ TEST(HeterogeneousCluster, ObservabilityOnVsOffIsBitIdentical) {
 // actually land (the injector resolves them through the stack interface).
 TEST(HeterogeneousCluster, ChaosOnSingleNodeStackIsDeterministic) {
   chaos::HarnessConfig cfg;
-  cfg.stack = StackKind::kLuna;
-  cfg.compute_stacks = {StackKind::kLuna, StackKind::kSolar};
-  cfg.seed = 31337;
+  cfg.spec.stack = StackKind::kLuna;
+  cfg.spec.compute_stacks = {StackKind::kLuna, StackKind::kSolar};
+  cfg.spec.seed = 31337;
   cfg.active = ms(300);
-  cfg.poisson_iops = 900.0;
+  cfg.spec.workload.poisson_iops = 900.0;
   cfg.readback_samples = 8;
 
   chaos::FaultEvent stall;
