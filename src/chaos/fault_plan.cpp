@@ -1,12 +1,8 @@
 #include "chaos/fault_plan.h"
 
 #include <iterator>
-#include <limits>
-#include <sstream>
-#include <utility>
 
-#include "obs/json.h"
-#include "obs/json_reader.h"
+#include "obs/fields.h"
 
 namespace repro::chaos {
 
@@ -89,98 +85,11 @@ bool parse_target_kind(const std::string& s, TargetKind* out) {
   return false;
 }
 
-std::string FaultPlan::to_json() const {
-  std::ostringstream os;
-  // Enough digits that every magnitude parses back to the same bits: a
-  // dumped plan must replay the run that produced it.
-  os.precision(std::numeric_limits<double>::max_digits10);
-  obs::JsonWriter w(os);
-  w.begin_object();
-  w.key("name").value(name);
-  w.key("events").begin_array();
-  for (const FaultEvent& e : events) {
-    w.begin_object();
-    w.key("at_ns").value(static_cast<std::int64_t>(e.at));
-    w.key("duration_ns").value(static_cast<std::int64_t>(e.duration));
-    w.key("kind").value(to_string(e.kind));
-    w.key("target").begin_object();
-    w.key("kind").value(to_string(e.target.kind));
-    w.key("index").value(e.target.index);
-    w.key("sub").value(e.target.sub);
-    w.end_object();
-    w.key("magnitude").value(e.magnitude);
-    w.key("param_ns").value(static_cast<std::int64_t>(e.param));
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return os.str();
-}
-
-// ---------------------------------------------------------------------------
-// Replay parser, on the shared obs JSON reader (obs/json_reader.h).
+std::string FaultPlan::to_json() const { return obs::to_json(*this); }
 
 bool plan_from_json(const std::string& text, FaultPlan* out,
                     std::string* err) {
-  auto set_err = [err](const std::string& e) {
-    if (err != nullptr) *err = e;
-    return false;
-  };
-  obs::JsonValue root;
-  obs::JsonReader reader(text);
-  if (!reader.parse(&root)) return set_err(reader.error());
-  if (root.type != obs::JsonValue::Type::kObject) {
-    return set_err("root not object");
-  }
-
-  FaultPlan plan;
-  if (const obs::JsonValue* n = root.find("name");
-      n != nullptr && n->type == obs::JsonValue::Type::kString) {
-    plan.name = n->str;
-  }
-  const obs::JsonValue* events = root.find("events");
-  if (events == nullptr || events->type != obs::JsonValue::Type::kArray) {
-    return set_err("missing events array");
-  }
-  for (const obs::JsonValue& ev : events->items) {
-    if (ev.type != obs::JsonValue::Type::kObject) {
-      return set_err("event not object");
-    }
-    FaultEvent e;
-    double num = 0.0;
-    if (!obs::json_number(ev, "at_ns", &num)) {
-      return set_err("event missing at_ns");
-    }
-    e.at = static_cast<TimeNs>(num);
-    if (obs::json_number(ev, "duration_ns", &num)) {
-      e.duration = static_cast<TimeNs>(num);
-    }
-    if (obs::json_number(ev, "magnitude", &num)) e.magnitude = num;
-    if (obs::json_number(ev, "param_ns", &num)) e.param = static_cast<TimeNs>(num);
-    const obs::JsonValue* kind = ev.find("kind");
-    if (kind == nullptr || kind->type != obs::JsonValue::Type::kString ||
-        !parse_fault_kind(kind->str, &e.kind)) {
-      return set_err("bad fault kind");
-    }
-    const obs::JsonValue* target = ev.find("target");
-    if (target == nullptr || target->type != obs::JsonValue::Type::kObject) {
-      return set_err("event missing target");
-    }
-    const obs::JsonValue* tkind = target->find("kind");
-    if (tkind == nullptr || tkind->type != obs::JsonValue::Type::kString ||
-        !parse_target_kind(tkind->str, &e.target.kind)) {
-      return set_err("bad target kind");
-    }
-    if (obs::json_number(*target, "index", &num)) {
-      e.target.index = static_cast<int>(num);
-    }
-    if (obs::json_number(*target, "sub", &num)) {
-      e.target.sub = static_cast<int>(num);
-    }
-    plan.events.push_back(e);
-  }
-  *out = std::move(plan);
-  return true;
+  return obs::from_json(text, out, "plan", err);
 }
 
 // ---------------------------------------------------------------------------

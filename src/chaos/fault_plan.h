@@ -86,8 +86,36 @@ const char* to_string(TargetKind k);
 bool parse_fault_kind(const std::string& s, FaultKind* out);
 bool parse_target_kind(const std::string& s, TargetKind* out);
 
+// JSON field lists (see obs/fields.h): each key is named once, in output
+// order, and the same list writes, reads and strict-checks the plan.
+template <class V>
+void fields(V& v, FaultTarget& t) {
+  v.required("kind", t.kind, parse_target_kind);
+  v.field("index", t.index);
+  v.field("sub", t.sub);
+}
+
+template <class V>
+void fields(V& v, FaultEvent& e) {
+  v.required("at_ns", e.at);
+  v.field("duration_ns", e.duration);
+  v.required("kind", e.kind, parse_fault_kind);
+  v.required("target", e.target);
+  v.field("magnitude", e.magnitude);
+  v.field("param_ns", e.param);
+}
+
+template <class V>
+void fields(V& v, FaultPlan& p) {
+  v.field("name", p.name);
+  v.required("events", p.events);
+}
+
 /// Parses a plan previously produced by `FaultPlan::to_json` (or written by
-/// hand). Returns false on malformed input; `err` gets a short reason.
+/// hand). Unknown or duplicate keys, ill-typed values (a fractional
+/// `at_ns`, a string `index`) and unknown kind names are refused. Returns
+/// false on malformed input; `err` names the key path (e.g.
+/// "plan.events[0].duration_ns").
 bool plan_from_json(const std::string& text, FaultPlan* out,
                     std::string* err = nullptr);
 

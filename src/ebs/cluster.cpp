@@ -20,7 +20,7 @@ std::vector<StackKind> fleet_kinds(const ClusterParams& p) {
 }  // namespace
 
 std::vector<stack::ServerFamily> ClusterParams::server_families() const {
-  if (ec.enabled) return {stack::ServerFamily::kEcServer};
+  if (ec.enabled) return {transport_family()};
   const std::vector<StackKind> kinds = fleet_kinds(*this);
   bool present[stack::kNumServerFamilies] = {};
   for (StackKind k : kinds) {
@@ -63,8 +63,7 @@ ComputeNode::ComputeNode(Cluster& cluster, int index, net::Nic& nic)
       p,
       cluster.rng_.fork(1000 + static_cast<std::uint64_t>(index))};
   if (p.qos.enabled) ctx.slos = &cluster.slos_;
-  stack_ = stack::StackFactory::instance().make_compute(p.stack_for(index),
-                                                        std::move(ctx));
+  stack_ = stack::make_compute_stack(p.stack_for(index), std::move(ctx));
   // Admission gate in front of the doorbell; node-affine (bound to this
   // node's home engine, under whose shard scope we are constructed).
   if (p.qos.enabled) {
@@ -196,13 +195,9 @@ StorageNode::StorageNode(Cluster& cluster, int index, net::Nic& nic)
   std::vector<Hook> hooks;
   std::uint64_t stream = 2;
   for (stack::ServerFamily family : families) {
-    stack::ServerContext ctx{eng,    nic,    *cpu_, *block_server_,
-                             p,      kernel, rng.fork(stream++)};
-    if (family == stack::ServerFamily::kEcServer) {
-      ctx.ec_inner = p.transport_family();
-    }
-    stacks_.push_back(
-        stack::StackFactory::instance().make_server(family, std::move(ctx)));
+    stacks_.push_back(stack::make_server_stack(
+        family, {eng, nic, *cpu_, *block_server_, p, kernel,
+                 rng.fork(stream++)}));
     if (families.size() > 1) {
       hooks.push_back({stack::server_port(family), nic.deliver()});
     }

@@ -3,7 +3,7 @@
 // disks striped across them. Every experiment harness goes through this.
 //
 // The five generations live behind the `stack` layer (src/stack): each
-// compute node owns one `stack::ComputeStack` built by the StackFactory,
+// compute node owns one `stack::ComputeStack` (`stack::make_compute_stack`),
 // each storage node one server engine per family present in the fleet.
 // Fleets are heterogeneous by assigning `ClusterParams::compute_stacks`
 // per node (empty = homogeneous `stack`), which is how a rolling upgrade
@@ -27,7 +27,7 @@
 #include "qos/admission.h"
 #include "sim/shard_context.h"
 #include "sim/sharded.h"
-#include "stack/factory.h"
+#include "stack/stack.h"
 #include "storage/block_server.h"
 
 namespace repro::obs {
@@ -69,12 +69,12 @@ struct ClusterParams : stack::StackParams {
                           compute_stacks.size()];
   }
   /// Server families present in the fleet, in canonical enum order. An
-  /// EC fleet (`ec.enabled`) is the single kEcServer family wrapping the
-  /// generations' common transport family.
+  /// EC fleet (`ec.enabled`) runs the generations' one common transport
+  /// family: EC is compute-side, its fragments are plain blocks.
   std::vector<stack::ServerFamily> server_families() const;
   /// Transport family the fleet's generations share — the family an EC
-  /// server wraps. Aborts on a mixed-transport EC fleet (EC fragments must
-  /// all be reachable through one engine).
+  /// fleet's servers run. Aborts on a mixed-transport EC fleet (EC
+  /// fragments must all be reachable through one engine).
   stack::ServerFamily transport_family() const;
   /// True when every compute stack in the fleet is kernel TCP — only then
   /// do storage servers run kernel TCP server-side too.

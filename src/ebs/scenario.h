@@ -81,10 +81,62 @@ struct ScenarioSpec {
   std::string to_json() const;
 };
 
+// JSON field lists (see obs/fields.h): each key is named once, in output
+// order, and the same list writes, reads and strict-checks the spec.
+template <class V>
+void fields(V& v, VdSpec& vd) {
+  v.field("size_bytes", vd.size_bytes);
+  v.optional("qos", vd.qos, vd.has_qos);
+  v.optional("slo", vd.slo, vd.has_slo);
+}
+
+template <class V>
+void fields(V& v, WorkloadSpec& w) {
+  v.field("block_size", w.block_size);
+  v.field("iodepth", w.iodepth);
+  v.field("read_fraction", w.read_fraction);
+  v.field("sequential", w.sequential);
+  v.field("real_payload", w.real_payload);
+  v.field("max_ios", w.max_ios);
+  v.field("poisson_iops", w.poisson_iops);
+}
+
+template <class V>
+void fields(V& v, ScenarioSpec& s) {
+  v.field("name", s.name);
+  v.object("topology", [&s](V& t) {
+    t.field("compute", s.compute_nodes);
+    t.field("storage", s.storage_nodes);
+    t.field("servers_per_rack", s.servers_per_rack);
+    t.field("spines_per_pod", s.spines_per_pod);
+    t.field("core_switches", s.core_switches);
+    // Written only when sharded so single-engine specs round-trip unchanged.
+    t.field_if(s.shards != 1, "shards", s.shards);
+    t.field_if(s.threads != 1, "threads", s.threads);
+  });
+  v.field_if(s.vd_stripe_width != 0, "vd_stripe_width", s.vd_stripe_width);
+  v.field("stack", s.stack, stack_from_string);
+  v.field_if(!s.compute_stacks.empty(), "compute_stacks", s.compute_stacks,
+             stack_from_string);
+  v.field("on_dpu", s.on_dpu);
+  v.field("seed", s.seed);
+  v.field("store_payload", s.store_payload);
+  v.field("vd_size_bytes", s.vd_size_bytes);
+  v.field_if(!s.vds.empty(), "vds", s.vds);
+  v.field("workload", s.workload);
+  // Written only when the subsystem is on, so specs that predate it
+  // round-trip unchanged.
+  v.field_if(s.qos.enabled, "qos", s.qos);
+  v.field_if(s.ec.enabled, "ec", s.ec);
+  v.field_if(s.placement.enabled, "placement", s.placement);
+}
+
 /// Parses a spec previously produced by `to_json` (or hand-written). Absent
-/// fields keep their defaults; unrecognized fields are an error, not a
-/// silent no-op (a typo'd knob must not quietly run the default). Returns
-/// false with `*error` set on malformed input or unknown stack names.
+/// fields keep their defaults. Unknown or duplicate keys, values of the
+/// wrong JSON type, integers that are fractional or out of range for their
+/// member, and unknown enum names are errors, never silent no-ops (a
+/// typo'd knob must not quietly run the default). Returns false with
+/// `*error` naming the key path (e.g. "scenario.ec.k").
 bool scenario_from_json(const std::string& text, ScenarioSpec* out,
                         std::string* error);
 

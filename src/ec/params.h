@@ -5,14 +5,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/units.h"
-
-namespace repro::obs {
-struct JsonValue;
-class JsonWriter;
-}  // namespace repro::obs
 
 namespace repro::ec {
 
@@ -42,11 +36,22 @@ struct EcParams {
   static constexpr std::uint32_t kCellBytes = 4096;
 };
 
-/// JSON round-trip (ScenarioSpec "ec" object). Mirrors qos::write_qos_params.
-void write_ec_params(obs::JsonWriter& w, const EcParams& p);
-bool read_ec_params(const obs::JsonValue& v, EcParams* p);
-/// Keys `read_ec_params` understands — the scenario strict parser rejects
-/// anything else.
-bool ec_params_key_allowed(const std::string& key);
+/// JSON field list (the ScenarioSpec "ec" object; see obs/fields.h).
+template <class V>
+void fields(V& v, EcParams& p) {
+  v.field("enabled", p.enabled);
+  v.field("k", p.k);
+  v.field("m", p.m);
+  v.field("rebuild_bandwidth_cap", p.rebuild_bandwidth_cap);
+  v.micros("probe_interval_us", p.probe_interval);
+  v.micros("probe_timeout_us", p.probe_timeout);
+  v.field("probe_failures_to_dead", p.probe_failures_to_dead);
+  v.field("rebuild_concurrency", p.rebuild_concurrency);
+  v.micros("repair_retry_us", p.repair_retry);
+  // k caps at 32: the client's write directory tracks data-fragment
+  // coverage in a 32-bit mask (one bit per data fragment of a row).
+  v.check(p.k >= 1 && p.k <= 32 && p.m >= 1 && p.k + p.m <= 128,
+          "geometry needs 1 <= k <= 32, m >= 1 and k + m <= 128");
+}
 
 }  // namespace repro::ec

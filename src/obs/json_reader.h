@@ -4,14 +4,13 @@
 // own artifacts (chaos fault plans, ebs scenario specs) share this
 // recursive-descent reader: objects, arrays, strings (with the escapes the
 // writer emits), numbers, bools. Enough for any file JsonWriter produced —
-// and for hand-edited repros.
+// and for hand-edited repros. Config types read through `obs::JsonIn`
+// (fields.h); `json_number`/`json_string` serve the lenient external
+// trace format.
 #pragma once
 
 #include <cctype>
-#include <charconv>
-#include <cstdint>
 #include <cstdlib>
-#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
@@ -218,65 +217,12 @@ inline bool json_number(const JsonValue& obj, const char* key, double* out) {
   return true;
 }
 
-/// Fetches `obj[key]` as an unsigned integer parsed from the number's own
-/// text, so values above 2^53 (seeds, byte counts) keep every bit; false if
-/// absent, not numeric, or not a plain non-negative integer.
-inline bool json_uint(const JsonValue& obj, const char* key,
-                      std::uint64_t* out) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->type != JsonValue::Type::kNumber) return false;
-  const char* end = v->str.data() + v->str.size();
-  std::uint64_t x = 0;
-  const std::from_chars_result r = std::from_chars(v->str.data(), end, x);
-  if (r.ec != std::errc() || r.ptr != end) return false;
-  *out = x;
-  return true;
-}
-
 /// Fetches `obj[key]` as a string; false if absent or not a string.
 inline bool json_string(const JsonValue& obj, const char* key,
                         std::string* out) {
   const JsonValue* v = obj.find(key);
   if (v == nullptr || v->type != JsonValue::Type::kString) return false;
   *out = v->str;
-  return true;
-}
-
-/// Fetches `obj[key]` as a bool; false if absent or not a bool.
-inline bool json_bool(const JsonValue& obj, const char* key, bool* out) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->type != JsonValue::Type::kBool) return false;
-  *out = v->b;
-  return true;
-}
-
-/// Strict-parse guard: verifies every member of object `obj` is named in
-/// `allowed`. A misspelled knob in a hand-edited spec must fail loudly, not
-/// silently fall back to the default. On the first unknown key sets `*error`
-/// to `<where>: unrecognized field "<key>"` and returns false. `pred` (when
-/// non-null) extends the allow-list for keys a subsystem validates itself.
-inline bool json_check_keys(const JsonValue& obj,
-                            std::initializer_list<const char*> allowed,
-                            const char* where, std::string* error,
-                            bool (*pred)(const std::string&) = nullptr) {
-  if (obj.type != JsonValue::Type::kObject) return true;
-  for (const auto& [key, value] : *obj.obj) {
-    (void)value;
-    bool ok = false;
-    for (const char* a : allowed) {
-      if (key == a) {
-        ok = true;
-        break;
-      }
-    }
-    if (!ok && pred != nullptr) ok = pred(key);
-    if (!ok) {
-      if (error != nullptr) {
-        *error = std::string(where) + ": unrecognized field \"" + key + "\"";
-      }
-      return false;
-    }
-  }
   return true;
 }
 

@@ -4,14 +4,7 @@
 // built and the run is bit-identical to a spec that predates the field.
 #pragma once
 
-#include <string>
-
 #include "placement/policy.h"
-
-namespace repro::obs {
-struct JsonValue;
-class JsonWriter;
-}  // namespace repro::obs
 
 namespace repro::placement {
 
@@ -23,12 +16,12 @@ struct PlacementParams {
   PolicyKind policy = PolicyKind::kLegacyRotated;
 };
 
-/// JSON round-trip (ScenarioSpec "placement" object). Mirrors
-/// ec::write_ec_params.
-void write_placement_params(obs::JsonWriter& w, const PlacementParams& p);
-bool read_placement_params(const obs::JsonValue& v, PlacementParams* p);
-/// Keys `read_placement_params` understands — the scenario strict parser
-/// rejects anything else.
-bool placement_params_key_allowed(const std::string& key);
+/// JSON field list (the ScenarioSpec "placement" object; see
+/// obs/fields.h). A typo'd policy name is refused, not run as the default.
+template <class V>
+void fields(V& v, PlacementParams& p) {
+  v.field("enabled", p.enabled);
+  v.field("policy", p.policy, policy_from_string);
+}
 
 }  // namespace repro::placement

@@ -1,8 +1,5 @@
 #include "qos/slo.h"
 
-#include "obs/json.h"
-#include "obs/json_reader.h"
-
 namespace repro::qos {
 
 const char* to_string(SloClass c) {
@@ -19,69 +16,6 @@ bool slo_class_from_string(const std::string& s, SloClass* out) {
     return true;
   }
   return false;
-}
-
-void write_slo(obs::JsonWriter& w, const SloSpec& s) {
-  w.begin_object();
-  w.field("target_p99_us", static_cast<double>(s.target_p99) / 1e3);
-  w.field("guaranteed_iops", s.guaranteed_iops);
-  w.field("class", to_string(s.cls));
-  w.end_object();
-}
-
-bool read_slo(const obs::JsonValue& v, SloSpec* s) {
-  if (v.type != obs::JsonValue::Type::kObject) return false;
-  double num = 0.0;
-  if (obs::json_number(v, "target_p99_us", &num)) {
-    s->target_p99 = static_cast<TimeNs>(num * 1e3);
-  }
-  obs::json_number(v, "guaranteed_iops", &s->guaranteed_iops);
-  std::string cls;
-  if (obs::json_string(v, "class", &cls) &&
-      !slo_class_from_string(cls, &s->cls)) {
-    return false;
-  }
-  return true;
-}
-
-void write_qos_params(obs::JsonWriter& w, const QosParams& p) {
-  w.begin_object();
-  w.field("enabled", p.enabled);
-  w.field("early_reject", p.early_reject);
-  w.field("headroom", p.headroom);
-  w.field("reject_latency_us", static_cast<double>(p.reject_latency) / 1e3);
-  w.field("predictor_window_us",
-          static_cast<double>(p.predictor_window) / 1e3);
-  w.field("predictor_buckets", p.predictor_buckets);
-  w.field("sched_enabled", p.sched_enabled);
-  w.field("sched_weight_guaranteed", p.sched_weight_guaranteed);
-  w.field("sched_weight_best_effort", p.sched_weight_best_effort);
-  w.end_object();
-}
-
-bool read_qos_params(const obs::JsonValue& v, QosParams* p) {
-  if (v.type != obs::JsonValue::Type::kObject) return false;
-  obs::json_bool(v, "enabled", &p->enabled);
-  obs::json_bool(v, "early_reject", &p->early_reject);
-  obs::json_number(v, "headroom", &p->headroom);
-  double num = 0.0;
-  if (obs::json_number(v, "reject_latency_us", &num)) {
-    p->reject_latency = static_cast<TimeNs>(num * 1e3);
-  }
-  if (obs::json_number(v, "predictor_window_us", &num)) {
-    p->predictor_window = static_cast<TimeNs>(num * 1e3);
-  }
-  if (obs::json_number(v, "predictor_buckets", &num)) {
-    p->predictor_buckets = static_cast<int>(num);
-  }
-  obs::json_bool(v, "sched_enabled", &p->sched_enabled);
-  if (obs::json_number(v, "sched_weight_guaranteed", &num)) {
-    p->sched_weight_guaranteed = static_cast<int>(num);
-  }
-  if (obs::json_number(v, "sched_weight_best_effort", &num)) {
-    p->sched_weight_best_effort = static_cast<int>(num);
-  }
-  return true;
 }
 
 }  // namespace repro::qos

@@ -14,11 +14,6 @@
 
 #include "common/units.h"
 
-namespace repro::obs {
-class JsonWriter;
-struct JsonValue;
-}
-
 namespace repro::qos {
 
 /// Service class under contention: guaranteed tenants are protected by the
@@ -83,10 +78,26 @@ struct QosParams {
   int sched_weight_best_effort = 1;
 };
 
-// JSON round-trip helpers (ScenarioSpec / chaos configs).
-void write_slo(obs::JsonWriter& w, const SloSpec& s);
-bool read_slo(const obs::JsonValue& v, SloSpec* s);
-void write_qos_params(obs::JsonWriter& w, const QosParams& p);
-bool read_qos_params(const obs::JsonValue& v, QosParams* p);
+// JSON field lists (a ScenarioSpec VD's "slo" object and the spec's "qos"
+// object; see obs/fields.h).
+template <class V>
+void fields(V& v, SloSpec& s) {
+  v.micros("target_p99_us", s.target_p99);
+  v.field("guaranteed_iops", s.guaranteed_iops);
+  v.field("class", s.cls, slo_class_from_string);
+}
+
+template <class V>
+void fields(V& v, QosParams& p) {
+  v.field("enabled", p.enabled);
+  v.field("early_reject", p.early_reject);
+  v.field("headroom", p.headroom);
+  v.micros("reject_latency_us", p.reject_latency);
+  v.micros("predictor_window_us", p.predictor_window);
+  v.field("predictor_buckets", p.predictor_buckets);
+  v.field("sched_enabled", p.sched_enabled);
+  v.field("sched_weight_guaranteed", p.sched_weight_guaranteed);
+  v.field("sched_weight_best_effort", p.sched_weight_best_effort);
+}
 
 }  // namespace repro::qos

@@ -208,9 +208,7 @@ void StorageAgent::finish_io(const std::shared_ptr<Gather>& g) {
   std::size_t read_blocks = 0;
   if (g->io.op == OpType::kRead) {
     for (const auto& [ext, resp] : g->responses) read_blocks += resp.blocks.size();
-    if (params_.verify_read_crc) {
-      cpu_cost += params_.per_block_crc * static_cast<TimeNs>(read_blocks);
-    }
+    cpu_cost += params_.per_block_crc * static_cast<TimeNs>(read_blocks);
     if (params_.encrypt) {
       cpu_cost += params_.per_block_crypto * static_cast<TimeNs>(read_blocks);
     }
@@ -233,7 +231,7 @@ void StorageAgent::finish_io(const std::shared_ptr<Gather>& g) {
           // Map the segment-relative address back into VD space.
           out.lba = ext.vd_offset + (out.lba - ext.segment_offset);
           if (out.has_payload()) {
-            if (params_.verify_read_crc && crc32_raw(out.data) != out.crc) {
+            if (crc32_raw(out.data) != out.crc) {
               ++stats_.crc_mismatches;
               res.status = StorageStatus::kCrcMismatch;
             }

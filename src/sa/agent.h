@@ -29,7 +29,6 @@ struct SaParams {
   TimeNs per_block_crc = ns(900);    ///< software CRC32 of a 4 KB block
   TimeNs per_block_crypto = ns(1400);///< software AES-equivalent per block
   bool encrypt = false;
-  bool verify_read_crc = true;
 };
 
 struct SaStats {

@@ -22,6 +22,15 @@ struct QosSpec {
   double burst_bytes = 16.0 * 1024 * 1024;
 };
 
+/// JSON field list (a ScenarioSpec VD's "qos" object; see obs/fields.h).
+template <class V>
+void fields(V& v, QosSpec& q) {
+  v.field("iops_limit", q.iops_limit);
+  v.field("bandwidth_limit", q.bandwidth_limit);
+  v.field("burst_ios", q.burst_ios);
+  v.field("burst_bytes", q.burst_bytes);
+}
+
 class QosTable {
  public:
   void set(std::uint64_t vd_id, const QosSpec& spec);

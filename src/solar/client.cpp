@@ -23,6 +23,8 @@ static std::uint64_t tenant_of(const IoRequest& io) {
 
 namespace {
 constexpr std::uint8_t kFlagEncrypted = 0x1;
+/// Resends of an RPC whose payload failed a CRC check before it fails.
+constexpr int kMaxRepairRounds = 3;
 }
 
 struct SolarClient::IoCtx {
@@ -428,7 +430,7 @@ void SolarClient::emit(const std::shared_ptr<RpcCtx>& rpc,
                            net::Proto::kUdp};
   pkt->size_bytes = frame_wire_bytes(frame);
   pkt->priority = 0;  // SOLAR's dedicated switch queue (§4.8)
-  pkt->request_int = params_.use_int;
+  pkt->request_int = true;  // INT + HPCC CC on the dedicated queue
   pkt->span = rpc->st[pkt_id].span;
   net::emplace_app<Frame>(*pkt, std::move(frame));
   nic_.send_packet(std::move(pkt));
@@ -549,7 +551,7 @@ void SolarClient::handle_write_response(const Frame& f) {
   }
 
   if (f.status == StorageStatus::kCrcMismatch &&
-      rpc->repair_rounds < params_.max_repair_rounds) {
+      rpc->repair_rounds < kMaxRepairRounds) {
     // The server saw a payload/CRC mismatch (e.g. post-CRC FPGA bit flip
     // on the wire side). Resend everything through the software path.
     ++rpc->repair_rounds;
@@ -591,7 +593,7 @@ void SolarClient::handle_write_response(const Frame& f) {
             crcs.push_back(rpc->wire[i].crc);
           }
           if (!crc_aggregate_check(blocks, crcs) &&
-              rpc->repair_rounds < params_.max_repair_rounds) {
+              rpc->repair_rounds < kMaxRepairRounds) {
             ++rpc->repair_rounds;
             ++stats_.agg_check_failures;
             // Fall back to software per-block CRCs to find the culprits.
@@ -742,7 +744,7 @@ void SolarClient::maybe_complete_read(const std::shared_ptr<RpcCtx>& rpc) {
             crcs.push_back(b.crc);
           }
           if (!crc_aggregate_check(blocks, crcs) &&
-              rpc->repair_rounds < params_.max_repair_rounds) {
+              rpc->repair_rounds < kMaxRepairRounds) {
             ++rpc->repair_rounds;
             ++stats_.agg_check_failures;
             const TimeNs sw_cost = params_.sw_crc_per_block *
@@ -862,7 +864,7 @@ void SolarClient::schedule_probes(net::IpAddr peer) {
                                net::Proto::kUdp};
       pkt->size_bytes = 64;
       pkt->priority = 0;
-      pkt->request_int = params_.use_int;
+      pkt->request_int = true;
       net::emplace_app<Frame>(*pkt, std::move(f));
       nic_.send_packet(std::move(pkt));
       ++probes_sent_;

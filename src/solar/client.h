@@ -40,7 +40,6 @@ struct SolarParams {
   std::uint32_t block_size = 4096;  ///< one-block-one-packet (4K jumbo)
   bool offload = true;              ///< false = SOLAR*
   bool encrypt = false;
-  bool use_int = true;              ///< INT + HPCC CC on the dedicated queue
   bool aggregate_check = true;      ///< software CRC aggregation (§4.5)
   /// §4.5's stated future work ("we plan to make the path selection more
   /// explicit with INT probing"): when on, every path is probed
@@ -48,7 +47,6 @@ struct SolarParams {
   /// between I/O bursts.
   bool probe_paths = false;
   TimeNs probe_interval = ms(1);
-  int max_repair_rounds = 3;
   // DPU CPU service times, calibrated to §4.8's ~150K IOPS per core
   // (path selection + per-packet-ACK congestion control stay on the CPU,
   // which §4.7 calls out as SOLAR's residual CPU load, especially WRITE).

@@ -125,7 +125,7 @@ void SolarServer::handle_write(const Frame& f, const net::Packet& pkt) {
 
   const bool encrypted = (f.rpc.flags & kFlagEncrypted) != 0;
   TimeNs cpu = params_.cpu_per_packet;
-  if (params_.verify_crc && !encrypted && f.block.has_payload()) {
+  if (!encrypted && f.block.has_payload()) {
     cpu += params_.cpu_per_block_crc;
   }
   cpu_.submit(rpc_id, cpu, [this, f, rpc_id, encrypted,
@@ -139,7 +139,7 @@ void SolarServer::handle_write(const Frame& f, const net::Packet& pkt) {
     }
     // Software CRC verification of the plaintext (skipped when the block
     // is ciphertext — the client-side aggregation covers that case).
-    if (params_.verify_crc && !encrypted && f.block.has_payload() &&
+    if (!encrypted && f.block.has_payload() &&
         crc32_raw(f.block.data) != f.ebs.payload_crc) {
       ++crc_rejects_;
       w.status = StorageStatus::kCrcMismatch;

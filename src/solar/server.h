@@ -29,7 +29,6 @@ namespace repro::solar {
 struct SolarServerParams {
   TimeNs cpu_per_packet = ns(350);
   TimeNs cpu_per_block_crc = ns(900);  ///< software verify of real payloads
-  bool verify_crc = true;
   TimeNs rpc_state_gc = ms(200);  ///< retire completed-RPC records after
 };
 

@@ -1,12 +1,11 @@
-// The five concrete stack adapters and the factory registry.
+// The five concrete stack adapters and the two functions that build them.
 //
 // Construction preserves the exact RNG fork indices of the pre-refactor
 // wiring (dpu=1, solar client=2, tcp/rdma=3 on the compute side; the
 // server side receives its stream pre-forked), so homogeneous clusters
 // are bit-identical to the old hard-wired composition.
-#include "stack/factory.h"
+#include "stack/stack.h"
 
-#include <cstdlib>
 #include <memory>
 #include <utility>
 
@@ -284,8 +283,6 @@ class TcpServerStack final : public ServerStack {
         });
   }
 
-  ServerFamily family() const override { return ServerFamily::kTcp; }
-
  private:
   std::unique_ptr<transport::TcpStack> tcp_;
 };
@@ -304,8 +301,6 @@ class RdmaServerStack final : public ServerStack {
         });
   }
 
-  ServerFamily family() const override { return ServerFamily::kRdma; }
-
  private:
   std::unique_ptr<rdma::RdmaStack> rdma_;
 };
@@ -318,94 +313,38 @@ class SolarServerStack final : public ServerStack {
         solar::SolarServerParams{}, std::move(ctx.rng));
   }
 
-  ServerFamily family() const override { return ServerFamily::kSolar; }
-
  private:
   std::unique_ptr<solar::SolarServer> solar_;
 };
 
-/// EC fragment server: fragments are plain blocks in the node's
-/// SegmentStore, served by the wrapped transport family's engine
-/// (`ctx.ec_inner`). All EC-specific behavior — striping, parity RMW,
-/// degraded decode, rebuild — is compute-side, so the server family only
-/// changes the fleet's identity (and replication factor: EC nodes store
-/// one copy per fragment).
-class EcServerStack final : public ServerStack {
- public:
-  explicit EcServerStack(std::unique_ptr<ServerStack> inner)
-      : inner_(std::move(inner)) {}
-
-  ServerFamily family() const override { return ServerFamily::kEcServer; }
-
- private:
-  std::unique_ptr<ServerStack> inner_;
-};
-
 }  // namespace
 
-StackFactory::StackFactory() {
-  auto tcp_compute = [](StackKind kind, ComputeContext& ctx) {
-    return std::unique_ptr<ComputeStack>(new TcpComputeStack(kind, ctx));
-  };
-  auto solar_compute = [](StackKind kind, ComputeContext& ctx) {
-    return std::unique_ptr<ComputeStack>(new SolarFamilyStack(kind, ctx));
-  };
-  register_compute(StackKind::kKernelTcp, tcp_compute);
-  register_compute(StackKind::kLuna, tcp_compute);
-  register_compute(StackKind::kRdma, [](StackKind, ComputeContext& ctx) {
-    return std::unique_ptr<ComputeStack>(new RdmaComputeStack(ctx));
-  });
-  register_compute(StackKind::kSolarStar, solar_compute);
-  register_compute(StackKind::kSolar, solar_compute);
-
-  register_server(ServerFamily::kTcp, [](ServerContext& ctx) {
-    return std::unique_ptr<ServerStack>(new TcpServerStack(ctx));
-  });
-  register_server(ServerFamily::kRdma, [](ServerContext& ctx) {
-    return std::unique_ptr<ServerStack>(new RdmaServerStack(ctx));
-  });
-  register_server(ServerFamily::kSolar, [](ServerContext& ctx) {
-    return std::unique_ptr<ServerStack>(new SolarServerStack(ctx));
-  });
-  register_server(ServerFamily::kEcServer, [](ServerContext& ctx) {
-    if (ctx.ec_inner == ServerFamily::kEcServer) {
-      std::abort();  // the wrapped family must be a transport family
-    }
-    auto inner =
-        StackFactory::instance().make_server(ctx.ec_inner, std::move(ctx));
-    return std::unique_ptr<ServerStack>(new EcServerStack(std::move(inner)));
-  });
-}
-
-StackFactory& StackFactory::instance() {
-  static StackFactory factory;
-  return factory;
-}
-
-void StackFactory::register_compute(StackKind kind, ComputeFn fn) {
-  compute_[kind] = std::move(fn);
-}
-
-void StackFactory::register_server(ServerFamily family, ServerFn fn) {
-  server_[family] = std::move(fn);
-}
-
-std::unique_ptr<ComputeStack> StackFactory::make_compute(
-    StackKind kind, ComputeContext ctx) const {
-  const auto it = compute_.find(kind);
-  if (it == compute_.end()) {
-    std::abort();  // a cluster cannot exist without its data path
+std::unique_ptr<ComputeStack> make_compute_stack(StackKind kind,
+                                                 ComputeContext ctx) {
+  switch (kind) {
+    case StackKind::kKernelTcp:
+    case StackKind::kLuna:
+      return std::make_unique<TcpComputeStack>(kind, ctx);
+    case StackKind::kRdma:
+      return std::make_unique<RdmaComputeStack>(ctx);
+    case StackKind::kSolarStar:
+    case StackKind::kSolar:
+      return std::make_unique<SolarFamilyStack>(kind, ctx);
   }
-  return it->second(kind, ctx);
+  return nullptr;
 }
 
-std::unique_ptr<ServerStack> StackFactory::make_server(
-    ServerFamily family, ServerContext ctx) const {
-  const auto it = server_.find(family);
-  if (it == server_.end()) {
-    std::abort();
+std::unique_ptr<ServerStack> make_server_stack(ServerFamily family,
+                                               ServerContext ctx) {
+  switch (family) {
+    case ServerFamily::kTcp:
+      return std::make_unique<TcpServerStack>(ctx);
+    case ServerFamily::kRdma:
+      return std::make_unique<RdmaServerStack>(ctx);
+    case ServerFamily::kSolar:
+      return std::make_unique<SolarServerStack>(ctx);
   }
-  return it->second(ctx);
+  return nullptr;
 }
 
 }  // namespace repro::stack

@@ -67,25 +67,11 @@ ServerFamily server_family(StackKind kind) {
   return ServerFamily::kTcp;
 }
 
-std::string to_string(ServerFamily family) {
-  switch (family) {
-    case ServerFamily::kTcp: return "tcp";
-    case ServerFamily::kRdma: return "rdma";
-    case ServerFamily::kSolar: return "solar";
-    case ServerFamily::kEcServer: return "ec";
-  }
-  return "?";
-}
-
 std::uint16_t server_port(ServerFamily family) {
   switch (family) {
     case ServerFamily::kTcp: return transport::TcpStack::kServerPort;
     case ServerFamily::kRdma: return rdma::RdmaStack::kServerPort;
     case ServerFamily::kSolar: return solar::SolarClient::kServerPort;
-    // The EC family serves fragments through its inner transport family's
-    // engine, which listens on that family's port; this value exists only
-    // so the demux table stays total.
-    case ServerFamily::kEcServer: return 9030;
   }
   return 0;
 }

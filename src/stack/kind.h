@@ -37,18 +37,14 @@ bool has_fpga_datapath(StackKind kind);
 
 /// Which server-side engine a generation talks to. Kernel TCP and LUNA
 /// share the byte-stream server (profile differs), the SOLAR pair shares
-/// the one-block-one-packet server. `kEcServer` is the erasure-coding
-/// family: fragment storage served through one of the transport families
-/// (`ServerContext.ec_inner`), with the compute side striping k+m fragments
-/// across servers instead of replicating.
-enum class ServerFamily { kTcp, kRdma, kSolar, kEcServer };
+/// the one-block-one-packet server. Erasure coding is not a family: its
+/// striping lives compute-side and its fragments are plain blocks served
+/// by the fleet's transport family.
+enum class ServerFamily { kTcp, kRdma, kSolar };
 
-inline constexpr int kNumServerFamilies = 4;
+inline constexpr int kNumServerFamilies = 3;
 
 ServerFamily server_family(StackKind kind);
-
-/// Display name: "tcp", "rdma", "solar", "ec".
-std::string to_string(ServerFamily family);
 
 /// UDP/TCP destination port the family's server listens on — the demux key
 /// for heterogeneous storage nodes serving several generations at once.

@@ -9,8 +9,9 @@
 // knobs). `ServerStack` is the matching storage-side engine in front of the
 // block server.
 //
-// Adapters are created through the StackFactory (factory.h); nothing
-// outside src/stack branches on StackKind to build or drive a data path.
+// Adapters are created through `make_compute_stack` / `make_server_stack`
+// (adapters.cpp); nothing outside src/stack branches on StackKind to build
+// or drive a data path.
 #pragma once
 
 #include <memory>
@@ -127,10 +128,6 @@ struct ServerContext {
   /// shipped; only an all-kernel-TCP fleet runs kernel TCP there too.
   bool kernel_generation;
   Rng rng;
-  /// Transport family the EC server wraps (fragments are served by a plain
-  /// transport engine; EC logic lives compute-side). Only read when
-  /// constructing ServerFamily::kEcServer.
-  ServerFamily ec_inner = ServerFamily::kSolar;
 };
 
 /// Server-side engine of one stack family in front of the block server.
@@ -139,7 +136,13 @@ struct ServerContext {
 class ServerStack {
  public:
   virtual ~ServerStack() = default;
-  virtual ServerFamily family() const = 0;
 };
+
+/// Builds the compute-side data path of generation `kind`.
+std::unique_ptr<ComputeStack> make_compute_stack(StackKind kind,
+                                                 ComputeContext ctx);
+/// Builds the server-side engine of `family`.
+std::unique_ptr<ServerStack> make_server_stack(ServerFamily family,
+                                               ServerContext ctx);
 
 }  // namespace repro::stack

@@ -54,7 +54,7 @@ void BlockServer::handle_write(StorageRequest request,
   // tiers), so verifying every simulated block stays cheap and the
   // pass/fail outcome is identical on every host ISA.
   for (auto& blk : request.blocks) {
-    if (params_.verify_crc && blk.has_payload()) {
+    if (blk.has_payload()) {
       if (crc32_raw(blk.data) != blk.crc) {
         ++crc_failures_;
         StorageResponse resp;
@@ -114,7 +114,7 @@ void BlockServer::handle_write(StorageRequest request,
 void BlockServer::write_block(std::uint64_t segment_id, std::uint64_t offset,
                               DataBlock block, BlockWriteFn done,
                               bool verify_crc) {
-  if (verify_crc && params_.verify_crc && block.has_payload() &&
+  if (verify_crc && block.has_payload() &&
       crc32_raw(block.data) != block.crc) {
     ++crc_failures_;
     done(StorageStatus::kCrcMismatch, 0, 0);

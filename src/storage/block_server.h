@@ -27,7 +27,6 @@ struct BackendParams {
 struct BlockServerParams {
   TimeNs per_request_cpu = us(2);  ///< request parse + commit bookkeeping
   TimeNs per_block_cpu = ns(600);  ///< per-block handling
-  bool verify_crc = true;          ///< software CRC verify of real payloads
   bool store_payload = false;
   SsdParams ssd;
   BackendParams backend;

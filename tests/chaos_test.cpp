@@ -119,6 +119,35 @@ TEST(FaultPlanDsl, ParserRejectsMalformedInput) {
   EXPECT_TRUE(out.events.empty());
 }
 
+// A misspelled key or a value of the wrong JSON type is refused, never
+// read as a default or truncated: each of these used to parse (duration 0,
+// index 0, onset 1000 ns).
+TEST(FaultPlanDsl, RefusesIllTypedValuesNamingTheKeyPath) {
+  struct Case {
+    const char* event;
+    const char* path;
+  };
+  const Case cases[] = {
+      {R"("at_ns":0,"drution_ns":5000000,"kind":"loss",
+          "target":{"kind":"core","index":0})",
+       "plan.events[0].drution_ns"},
+      {R"("at_ns":0,"kind":"loss","target":{"kind":"core","index":"3"})",
+       "plan.events[0].target.index"},
+      {R"("at_ns":1000.7,"kind":"loss","target":{"kind":"core","index":0})",
+       "plan.events[0].at_ns"},
+      {R"("at_ns":0,"at_ns":5,"kind":"loss","target":{"kind":"core"})",
+       "plan.events[0].at_ns"},
+  };
+  for (const Case& c : cases) {
+    const std::string json =
+        std::string(R"({"name":"x","events":[{)") + c.event + "}]}";
+    FaultPlan out;
+    std::string err;
+    EXPECT_FALSE(plan_from_json(json, &out, &err)) << json;
+    EXPECT_NE(err.find(c.path), std::string::npos) << json << ": " << err;
+  }
+}
+
 TopologyShape test_shape() {
   TopologyShape s;
   s.compute_nodes = 2;

@@ -6,7 +6,7 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/crc32.h"
@@ -15,8 +15,7 @@
 #include "ec/codec.h"
 #include "ec/params.h"
 #include "kernels/kernels.h"
-#include "obs/json.h"
-#include "obs/json_reader.h"
+#include "obs/fields.h"
 #include "sa/segment_table.h"
 
 namespace repro::ec {
@@ -195,16 +194,9 @@ TEST(EcParamsJson, RoundTrip) {
   p.rebuild_concurrency = 4;
   p.repair_retry = ms(12);
 
-  std::ostringstream os;
-  obs::JsonWriter w(os);
-  write_ec_params(w, p);
-  const std::string text = os.str();  // JsonReader keeps a reference
-  obs::JsonValue v;
-  obs::JsonReader reader(text);
-  ASSERT_TRUE(reader.parse(&v)) << reader.error();
-
   EcParams back;
-  ASSERT_TRUE(read_ec_params(v, &back));
+  std::string err;
+  ASSERT_TRUE(obs::from_json(obs::to_json(p), &back, "ec", &err)) << err;
   EXPECT_TRUE(back.enabled);
   EXPECT_EQ(back.k, 6);
   EXPECT_EQ(back.m, 3);
@@ -218,11 +210,8 @@ TEST(EcParamsJson, RoundTrip) {
 
 TEST(EcParamsJson, RejectsBadGeometry) {
   auto parse = [](const std::string& text) {
-    obs::JsonValue v;
-    obs::JsonReader reader(text);  // text outlives the reader (by-ref param)
-    EXPECT_TRUE(reader.parse(&v));
     EcParams p;
-    return read_ec_params(v, &p);
+    return obs::from_json(text, &p, "ec", nullptr);
   };
   EXPECT_FALSE(parse(R"({"enabled":true,"k":0,"m":2})"));
   EXPECT_FALSE(parse(R"({"enabled":true,"k":4,"m":0})"));
@@ -234,13 +223,23 @@ TEST(EcParamsJson, RejectsBadGeometry) {
 }
 
 TEST(EcParamsJson, KeyAllowList) {
-  EXPECT_TRUE(ec_params_key_allowed("enabled"));
-  EXPECT_TRUE(ec_params_key_allowed("k"));
-  EXPECT_TRUE(ec_params_key_allowed("m"));
-  EXPECT_TRUE(ec_params_key_allowed("rebuild_bandwidth_cap"));
-  EXPECT_TRUE(ec_params_key_allowed("probe_interval_us"));
-  EXPECT_FALSE(ec_params_key_allowed("rebuild_bandwith_cap"));  // the typo
-  EXPECT_FALSE(ec_params_key_allowed("parity"));
+  // Each key with a value of its own type: known keys parse, others are
+  // refused naming the key.
+  auto allowed = [](const std::string& key, const std::string& value,
+                    std::string* err) {
+    EcParams p;
+    return obs::from_json("{\"" + key + "\":" + value + "}", &p, "ec", err);
+  };
+  std::string err;
+  EXPECT_TRUE(allowed("enabled", "true", &err)) << err;
+  EXPECT_TRUE(allowed("k", "4", &err)) << err;
+  EXPECT_TRUE(allowed("m", "2", &err)) << err;
+  EXPECT_TRUE(allowed("rebuild_bandwidth_cap", "1.0", &err)) << err;
+  EXPECT_TRUE(allowed("probe_interval_us", "5000.0", &err)) << err;
+  EXPECT_FALSE(allowed("rebuild_bandwith_cap", "1.0", &err));  // the typo
+  EXPECT_NE(err.find("rebuild_bandwith_cap"), std::string::npos) << err;
+  EXPECT_FALSE(allowed("parity", "2", &err));
+  EXPECT_NE(err.find("parity"), std::string::npos) << err;
 }
 
 TEST(EcLayout, RotatedPlacementCoversDistinctServers) {

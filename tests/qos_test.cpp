@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,8 +21,7 @@
 #include "ebs/cluster.h"
 #include "ebs/scenario.h"
 #include "ec/maintenance.h"
-#include "obs/json.h"
-#include "obs/json_reader.h"
+#include "obs/fields.h"
 #include "qos/admission.h"
 #include "qos/predictor.h"
 #include "qos/scheduler.h"
@@ -46,16 +44,9 @@ TEST(SloJson, SpecRoundTrip) {
   s.guaranteed_iops = 3200.0;
   s.cls = SloClass::kGuaranteed;
 
-  std::ostringstream os;
-  obs::JsonWriter w(os);
-  write_slo(w, s);
-  const std::string text = os.str();
-
-  obs::JsonValue root;
-  obs::JsonReader reader(text);
-  ASSERT_TRUE(reader.parse(&root)) << reader.error();
   SloSpec back;
-  ASSERT_TRUE(read_slo(root, &back));
+  std::string err;
+  ASSERT_TRUE(obs::from_json(obs::to_json(s), &back, "slo", &err)) << err;
   EXPECT_EQ(back.target_p99, s.target_p99);
   EXPECT_DOUBLE_EQ(back.guaranteed_iops, s.guaranteed_iops);
   EXPECT_EQ(back.cls, s.cls);
@@ -73,16 +64,9 @@ TEST(SloJson, ParamsRoundTrip) {
   p.sched_weight_guaranteed = 5;
   p.sched_weight_best_effort = 2;
 
-  std::ostringstream os;
-  obs::JsonWriter w(os);
-  write_qos_params(w, p);
-  const std::string text = os.str();
-
-  obs::JsonValue root;
-  obs::JsonReader reader(text);
-  ASSERT_TRUE(reader.parse(&root)) << reader.error();
   QosParams back;
-  ASSERT_TRUE(read_qos_params(root, &back));
+  std::string err;
+  ASSERT_TRUE(obs::from_json(obs::to_json(p), &back, "qos", &err)) << err;
   EXPECT_EQ(back.enabled, p.enabled);
   EXPECT_EQ(back.early_reject, p.early_reject);
   EXPECT_DOUBLE_EQ(back.headroom, p.headroom);

@@ -1,7 +1,7 @@
 // Server-family conformance suite: the contract every server family from
-// the StackFactory must honor, parameterized so each future family is
-// covered for free. For every family (kernel-TCP, RDMA, SOLAR, and the
-// erasure-coded kEcServer wrapping SOLAR) × {homogeneous, sharded}
+// `stack::make_server_stack` must honor, parameterized so each future
+// family is covered for free. For every family (kernel-TCP, RDMA, SOLAR,
+// and an erasure-coded fleet over SOLAR) × {homogeneous, sharded}
 // clusters the suite asserts, via the chaos harness's full oracle board:
 //
 //  * exactly-once + CRC durability on a clean (fault-free) run;
@@ -31,7 +31,7 @@ using ebs::StackKind;
 struct FamilyCase {
   StackKind stack;
   bool ec;
-  const char* name;  ///< stack::to_string(ServerFamily) spelling
+  const char* name;  ///< case name: family, then policy
   /// Placement policy name ("legacy" / "rack-aware" / "exposure"); null =
   /// placement subsystem off entirely (the historical config).
   const char* policy = nullptr;

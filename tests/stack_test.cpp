@@ -208,6 +208,32 @@ TEST(ScenarioSpec, IntegerFieldsAbove2To53RoundTripExactly) {
   }
 }
 
+// A value of the wrong JSON type is refused, never dropped, truncated or
+// wrapped: each of these used to parse and run something else (a 3-replica
+// fleet, an off-DPU run, qos off, k = 4, 2 compute nodes, a 4 GiB block
+// size, the last of two seeds).
+TEST(ScenarioSpec, RefusesIllTypedValuesNamingTheKeyPath) {
+  struct Case {
+    const char* json;
+    const char* path;
+  };
+  const Case cases[] = {
+      {R"({"ec":{"enabled":"true","k":4,"m":2}})", "scenario.ec.enabled"},
+      {R"({"on_dpu":1})", "scenario.on_dpu"},
+      {R"({"qos":{"enabled":1}})", "scenario.qos.enabled"},
+      {R"({"ec":{"enabled":true,"k":4.7,"m":2}})", "scenario.ec.k"},
+      {R"({"topology":{"compute":"4"}})", "scenario.topology.compute"},
+      {R"({"workload":{"block_size":-4096}})", "scenario.workload.block_size"},
+      {R"({"seed":1,"seed":2})", "scenario.seed"},
+  };
+  for (const Case& c : cases) {
+    ScenarioSpec out;
+    std::string err;
+    EXPECT_FALSE(scenario_from_json(c.json, &out, &err)) << c.json;
+    EXPECT_NE(err.find(c.path), std::string::npos) << c.json << ": " << err;
+  }
+}
+
 TEST(ScenarioSpec, EcKnobsParseStrictly) {
   ScenarioSpec out;
   std::string err;
