@@ -6,6 +6,7 @@
 // write end-to-end by up to 69%, with a residual SA tail from CPU-side
 // path selection/CC under load (§4.7).
 #include <cstdio>
+#include <tuple>
 
 #include "bench_json.h"
 #include "bench_util.h"
@@ -19,11 +20,39 @@ namespace {
 
 struct Breakdown {
   Histogram total, sa, fn, bn, ssd;
+
+  void add(const ebs::Breakdown& b) {
+    total.record(b.total());
+    sa.record(b.sa);
+    fn.record(b.fn);
+    bn.record(b.bn);
+    ssd.record(b.ssd);
+  }
 };
 
+// One 4 KB I/O on compute node 0, run to completion.
+transport::IoResult probe(ebs::Scenario& c, transport::OpType op,
+                          std::uint64_t offset) {
+  transport::IoRequest io;
+  io.vd_id = c.vds[0];
+  io.op = op;
+  io.offset = offset;
+  io.len = 4096;
+  if (op == transport::OpType::kWrite) {
+    io.payload = transport::make_placeholder_blocks(offset, 4096, 4096);
+  }
+  return ebs::run_io(*c.engine, *c.cluster, std::move(io));
+}
+
 Breakdown measure(StackKind stack, transport::OpType op, int ios) {
+  // Traced: probes run one at a time and each is split from its spans as it
+  // completes, so the ring only has to outlast one probe (else it throws).
+  obs::ObsConfig oc;
+  oc.trace_capacity = 1 << 14;
+  oc.sample_interval = 0;
+  obs::Obs obs(oc);
   auto c = ebs::build_scenario(
-      bench::default_scenario(stack, /*compute=*/2, /*storage=*/8));
+      bench::default_scenario(stack, /*compute=*/2, /*storage=*/8), &obs);
   auto& eng = *c.engine;
   Breakdown out;
   Rng rng(5);
@@ -51,33 +80,9 @@ Breakdown measure(StackKind stack, transport::OpType op, int ios) {
   });
   eng.run_until(ms(10));
 
-  // Primed data for reads.
-  const std::uint64_t vd = c.vds[0];
-  int done = 0;
   for (int i = 0; i < ios; ++i) {
-    transport::IoRequest io;
-    io.vd_id = vd;
-    io.op = op;
-    io.offset = (static_cast<std::uint64_t>(rng.next_below(4096))) * 4096;
-    io.len = 4096;
-    if (op == transport::OpType::kWrite) {
-      io.payload = transport::make_placeholder_blocks(io.offset, 4096, 4096);
-    }
-    bool finished = false;
-    eng.at(eng.now(), [&] {
-      c.cluster->compute(0).submit_io(std::move(io),
-                                      [&](transport::IoResult res) {
-                                        finished = true;
-                                        ++done;
-                                        out.total.record(res.trace.total_ns());
-                                        out.sa.record(res.trace.sa_ns);
-                                        out.fn.record(res.trace.fn_ns);
-                                        out.bn.record(res.trace.bn_ns);
-                                        out.ssd.record(res.trace.ssd_ns);
-                                      });
-    });
-    while (!finished && eng.step()) {
-    }
+    const std::uint64_t offset = rng.next_below(4096) * 4096;
+    out.add(ebs::breakdown(obs.tracer(), probe(c, op, offset).span));
     eng.run_until(eng.now() + us(50));
   }
   bg_job.stop();
@@ -85,67 +90,58 @@ Breakdown measure(StackKind stack, transport::OpType op, int ios) {
   return out;
 }
 
-void print_quadrant(const char* title, transport::OpType op, double q,
-                    bench::RunSummary& summary) {
-  std::printf("--- %s ---\n", title);
-  TextTable t({"component", "Kernel (us)", "Luna (us)", "Solar (us)"});
-  std::map<StackKind, Breakdown> rows;
+using Rows = std::map<StackKind, Breakdown>;
+
+// One measurement per stack serves both percentiles of an op's quadrants.
+Rows measure_stacks(transport::OpType op) {
+  Rows rows;
   for (StackKind s :
        {StackKind::kKernelTcp, StackKind::kLuna, StackKind::kSolar}) {
     rows.emplace(s, measure(s, op, 400));
   }
-  auto cell = [&](StackKind s, Histogram Breakdown::*member) {
-    return TextTable::num(to_us((rows.at(s).*member).percentile(q)));
-  };
-  t.add_row({"FN", cell(StackKind::kKernelTcp, &Breakdown::fn),
-             cell(StackKind::kLuna, &Breakdown::fn),
-             cell(StackKind::kSolar, &Breakdown::fn)});
-  t.add_row({"BN", cell(StackKind::kKernelTcp, &Breakdown::bn),
-             cell(StackKind::kLuna, &Breakdown::bn),
-             cell(StackKind::kSolar, &Breakdown::bn)});
-  t.add_row({"SSD", cell(StackKind::kKernelTcp, &Breakdown::ssd),
-             cell(StackKind::kLuna, &Breakdown::ssd),
-             cell(StackKind::kSolar, &Breakdown::ssd)});
-  t.add_row({"SA", cell(StackKind::kKernelTcp, &Breakdown::sa),
-             cell(StackKind::kLuna, &Breakdown::sa),
-             cell(StackKind::kSolar, &Breakdown::sa)});
-  t.add_row({"total", cell(StackKind::kKernelTcp, &Breakdown::total),
-             cell(StackKind::kLuna, &Breakdown::total),
-             cell(StackKind::kSolar, &Breakdown::total)});
-  std::printf("%s", t.render().c_str());
+  return rows;
+}
 
-  const std::pair<const char*, Histogram Breakdown::*> components[] = {
-      {"fn", &Breakdown::fn},   {"bn", &Breakdown::bn},
-      {"ssd", &Breakdown::ssd}, {"sa", &Breakdown::sa},
-      {"total", &Breakdown::total}};
-  for (const auto& [name, member] : components) {
+void print_quadrant(const char* title, transport::OpType op, double q,
+                    const Rows& rows, bench::RunSummary& summary) {
+  auto us = [&](StackKind s, Histogram Breakdown::*member) {
+    return to_us((rows.at(s).*member).percentile(q));
+  };
+  // Table row, JSON key and histogram of each component.
+  const std::tuple<const char*, const char*, Histogram Breakdown::*>
+      components[] = {{"FN", "fn", &Breakdown::fn},
+                      {"BN", "bn", &Breakdown::bn},
+                      {"SSD", "ssd", &Breakdown::ssd},
+                      {"SA", "sa", &Breakdown::sa},
+                      {"total", "total", &Breakdown::total}};
+  std::printf("--- %s ---\n", title);
+  TextTable t({"component", "Kernel (us)", "Luna (us)", "Solar (us)"});
+  for (const auto& [row, key, member] : components) {
+    t.add_row({row, TextTable::num(us(StackKind::kKernelTcp, member)),
+               TextTable::num(us(StackKind::kLuna, member)),
+               TextTable::num(us(StackKind::kSolar, member))});
     summary.row()
         .set("op", op == transport::OpType::kRead ? "read" : "write")
         .set("percentile", q)
-        .set("component", name)
-        .set("kernel_us",
-             to_us((rows.at(StackKind::kKernelTcp).*member).percentile(q)))
-        .set("luna_us",
-             to_us((rows.at(StackKind::kLuna).*member).percentile(q)))
-        .set("solar_us",
-             to_us((rows.at(StackKind::kSolar).*member).percentile(q)));
+        .set("component", key)
+        .set("kernel_us", us(StackKind::kKernelTcp, member))
+        .set("luna_us", us(StackKind::kLuna, member))
+        .set("solar_us", us(StackKind::kSolar, member));
   }
+  std::printf("%s", t.render().c_str());
 
-  const double kernel_fn = to_us(rows.at(StackKind::kKernelTcp).fn.percentile(q));
-  const double luna_fn = to_us(rows.at(StackKind::kLuna).fn.percentile(q));
-  const double luna_sa = to_us(rows.at(StackKind::kLuna).sa.percentile(q));
-  const double solar_sa = to_us(rows.at(StackKind::kSolar).sa.percentile(q));
-  const double luna_tot = to_us(rows.at(StackKind::kLuna).total.percentile(q));
-  const double solar_tot = to_us(rows.at(StackKind::kSolar).total.percentile(q));
   std::printf("shape: LUNA cuts FN by %.0f%% (paper ~80%%); "
               "SOLAR cuts SA by %.0f%% (paper ~95%% median) and e2e vs LUNA "
               "by %.0f%% (paper 20-69%%)\n\n",
-              100.0 * (1 - luna_fn / kernel_fn),
-              100.0 * (1 - solar_sa / luna_sa),
-              100.0 * (1 - solar_tot / luna_tot));
+              100.0 * (1 - us(StackKind::kLuna, &Breakdown::fn) /
+                               us(StackKind::kKernelTcp, &Breakdown::fn)),
+              100.0 * (1 - us(StackKind::kSolar, &Breakdown::sa) /
+                               us(StackKind::kLuna, &Breakdown::sa)),
+              100.0 * (1 - us(StackKind::kSolar, &Breakdown::total) /
+                               us(StackKind::kLuna, &Breakdown::total)));
 }
 
-// A second, observability-enabled SOLAR pass: one 4KB write and one 4KB
+// A separate SOLAR pass without background load: one 4KB write and one 4KB
 // read on an instrumented cluster, exported as a Perfetto-loadable Chrome
 // trace (guest -> SA/QoS -> FPGA -> fabric hops -> block server -> SSD)
 // plus the metrics snapshot. This is the PR artifact CI uploads.
@@ -156,29 +152,10 @@ void export_sample_trace() {
   auto c = ebs::build_scenario(
       bench::default_scenario(StackKind::kSolar, /*compute=*/2, /*storage=*/8),
       &obs);
-  auto& eng = *c.engine;
-
-  const std::uint64_t vd = c.vds[0];
   for (auto op : {transport::OpType::kWrite, transport::OpType::kRead}) {
-    transport::IoRequest io;
-    io.vd_id = vd;
-    io.op = op;
-    io.offset = 0;
-    io.len = 4096;
-    if (op == transport::OpType::kWrite) {
-      io.payload = transport::make_placeholder_blocks(0, 4096, 4096);
-    }
-    bool finished = false;
-    eng.at(eng.now(), [&] {
-      c.cluster->compute(0).submit_io(std::move(io),
-                                      [&](transport::IoResult) {
-                                        finished = true;
-                                      });
-    });
-    while (!finished && eng.step()) {
-    }
+    probe(c, op, 0);
   }
-  eng.run_until(eng.now() + ms(1));
+  c.engine->run_until(c.engine->now() + ms(1));
   if (obs::export_chrome_trace("fig06_solar.trace.json", obs.tracer())) {
     std::printf("wrote fig06_solar.trace.json (%zu spans; load in "
                 "ui.perfetto.dev)\n",
@@ -194,14 +171,16 @@ int main() {
                       "Fig. 6 a-d (Kernel/Luna/Solar; SA/FN/BN/SSD)");
   bench::RunSummary summary("fig06",
                             "Fig. 6 a-d (Kernel/Luna/Solar; SA/FN/BN/SSD)");
+  const Rows reads = measure_stacks(transport::OpType::kRead);
   print_quadrant("(a) 4KB Read, median", transport::OpType::kRead, 0.50,
-                 summary);
+                 reads, summary);
   print_quadrant("(b) 4KB Read, 95th percentile", transport::OpType::kRead,
-                 0.95, summary);
+                 0.95, reads, summary);
+  const Rows writes = measure_stacks(transport::OpType::kWrite);
   print_quadrant("(c) 4KB Write, median", transport::OpType::kWrite, 0.50,
-                 summary);
+                 writes, summary);
   print_quadrant("(d) 4KB Write, 95th percentile", transport::OpType::kWrite,
-                 0.95, summary);
+                 0.95, writes, summary);
   summary.write();
   export_sample_trace();
   return 0;

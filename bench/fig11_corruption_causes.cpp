@@ -66,13 +66,7 @@ CampaignResult run_fpga_campaign(double pre_crc, double post_crc,
       blk.data.resize(blk.len);
       for (auto& b : blk.data) b = static_cast<std::uint8_t>(rng.next());
     }
-    bool done = false;
-    eng.at(eng.now(), [&] {
-      c.cluster->compute(0).submit_io(std::move(io),
-                                      [&](transport::IoResult) { done = true; });
-    });
-    while (!done && eng.step()) {
-    }
+    ebs::run_io(eng, *c.cluster, std::move(io));
   }
   const auto& stats = c.cluster->compute(0).solar()->stats();
   const auto& fpga = c.cluster->compute(0).dpu()->fpga().stats();

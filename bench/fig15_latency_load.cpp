@@ -53,16 +53,8 @@ P5099 run_case(StackKind stack, bool heavy) {
     io.offset = rng.next_below(1 << 18) * 4096;
     io.len = 4096;
     io.payload = transport::make_placeholder_blocks(io.offset, 4096, 4096);
-    bool done = false;
     const TimeNs t0 = eng.now();
-    eng.at(eng.now(), [&] {
-      c.cluster->compute(0).submit_io(std::move(io),
-                                      [&](transport::IoResult) {
-                                        done = true;
-                                      });
-    });
-    while (!done && eng.step()) {
-    }
+    ebs::run_io(eng, *c.cluster, std::move(io));
     lat.record(to_us(eng.now() - t0));
     eng.run_until(eng.now() + us(heavy ? 100 : 30));
   }

@@ -45,7 +45,6 @@ using namespace repro;
 using bench::mix;
 using bench::pattern;
 using transport::IoRequest;
-using transport::IoResult;
 using transport::OpType;
 using transport::StorageStatus;
 
@@ -61,17 +60,8 @@ bool write_cell(sim::Engine& eng, ebs::Cluster& cluster, std::uint64_t vd,
     blk.data = pattern(blk.len, blk.lba + 1);
     blk.crc = crc32_raw(blk.data);
   }
-  bool ok = false;
-  bool done = false;
-  eng.at(eng.now(), [&] {
-    cluster.compute(0).submit_io(std::move(io), [&](IoResult r) {
-      ok = r.status == StorageStatus::kOk;
-      done = true;
-    });
-  });
-  while (!done && eng.step()) {
-  }
-  return done && ok;
+  return ebs::run_io(eng, cluster, std::move(io)).status ==
+         StorageStatus::kOk;
 }
 
 struct FleetShape {

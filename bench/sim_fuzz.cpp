@@ -33,6 +33,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -94,12 +95,23 @@ std::string out_path(const FuzzOptions& opt, const char* kind,
   return opt.out_dir + "/simfuzz_" + kind + "_" + tag + ".json";
 }
 
-void dump_repro(const FuzzOptions& opt, const HarnessConfig& cfg,
+bool write_text(const std::string& path, const std::string& text) {
+  std::ofstream f(path);
+  f << text << "\n";
+  f.close();
+  return !f.fail();
+}
+
+/// Writes the repro bundle (plan, scenario, trace) into `--out`, creating
+/// the directory. Prints the paths only once all three are on disk; false
+/// (with the reason on stderr) otherwise.
+bool dump_repro(const FuzzOptions& opt, const HarnessConfig& cfg,
                 const FaultPlan& min_plan, const char* tag) {
+  std::error_code ec;
+  std::filesystem::create_directories(opt.out_dir, ec);
   const std::string plan_path = out_path(opt, "repro", tag);
-  std::ofstream(plan_path) << min_plan.to_json() << "\n";
   const std::string spec_path = out_path(opt, "scenario", tag);
-  std::ofstream(spec_path) << cfg.spec.to_json() << "\n";
+  const std::string trace_path = out_path(opt, "trace", tag);
 
   // Trace of the minimized failing run, Perfetto-loadable.
   obs::Obs obs;
@@ -107,9 +119,16 @@ void dump_repro(const FuzzOptions& opt, const HarnessConfig& cfg,
   traced.plan = min_plan;
   traced.obs = &obs;
   const RunReport r = chaos::run_chaos(traced);
-  const std::string trace_path = out_path(opt, "trace", tag);
-  obs::export_chrome_trace(trace_path, obs.tracer());
 
+  if (!write_text(plan_path, min_plan.to_json()) ||
+      !write_text(spec_path, cfg.spec.to_json()) ||
+      !obs::export_chrome_trace(trace_path, obs.tracer())) {
+    std::fprintf(stderr,
+                 "sim_fuzz: cannot write a repro bundle into %s%s%s\n",
+                 opt.out_dir.c_str(), ec ? ": " : "",
+                 ec ? ec.message().c_str() : "");
+    return false;
+  }
   std::printf("  repro plan : %s\n", plan_path.c_str());
   std::printf("  trace      : %s (violations in traced run: %zu)\n",
               trace_path.c_str(), r.violations.size());
@@ -117,6 +136,7 @@ void dump_repro(const FuzzOptions& opt, const HarnessConfig& cfg,
               plan_path.c_str(), spec_path.c_str(),
               cfg.oracle.hang_oracle ? " --hang-oracle" : "",
               cfg.disable_solar_failover ? " --planted-bug" : "");
+  return true;
 }
 
 void print_violations(const RunReport& r) {
@@ -349,8 +369,7 @@ int run_plant_bug(const FuzzOptions& opt) {
     std::printf("  minimized: %zu -> %zu events (%d probes), still fails "
                 "deterministically\n",
                 plan.events.size(), min.plan.events.size(), min.probes);
-    dump_repro(opt, cfg, min.plan, "planted_bug");
-    return 0;
+    return dump_repro(opt, cfg, min.plan, "planted_bug") ? 0 : 1;
   }
   std::printf("[sim_fuzz] ERROR: planted bug never caught in 16 attempts\n");
   return 1;

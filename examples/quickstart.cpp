@@ -1,17 +1,20 @@
 // Quickstart: build a small EBS deployment with the SOLAR stack, create a
-// virtual disk, write and read it back, and print the per-component
-// latency trace — the whole public API in ~60 lines.
+// virtual disk, write and read it back, and print the per-component latency
+// split derived from each I/O's spans — the whole public API in ~70 lines.
 //
 //   $ ./build/examples/quickstart
 #include <cstdio>
 
 #include "ebs/cluster.h"
+#include "ebs/metrics.h"
+#include "obs/obs.h"
 
 using namespace repro;
 
 int main() {
   // 1. A simulation engine and a cluster: 2 compute + 4 storage servers in
-  //    a Clos fabric, compute side on ALI-DPU running SOLAR.
+  //    a Clos fabric, compute side on ALI-DPU running SOLAR, traced.
+  obs::Obs obs;
   sim::Engine engine;
   ebs::ClusterParams params;
   params.topo.compute_servers = 2;
@@ -19,6 +22,7 @@ int main() {
   params.topo.servers_per_rack = 4;
   params.stack = ebs::StackKind::kSolar;
   params.block_server.store_payload = true;  // keep real bytes around
+  params.obs = &obs;
   ebs::Cluster cluster(engine, params);
 
   // 2. A 1 GiB virtual disk, striped in 2 MB segments over the storage
@@ -44,20 +48,13 @@ int main() {
   }
   auto expected = write.payload;
 
-  transport::IoResult write_result;
-  engine.at(0, [&] {
-    cluster.compute(0).submit_io(std::move(write), [&](transport::IoResult r) {
-      write_result = std::move(r);
-    });
-  });
-  engine.run();
+  const transport::IoResult write_result =
+      ebs::run_io(engine, cluster, std::move(write));
+  const ebs::Breakdown w = ebs::breakdown(obs.tracer(), write_result.span);
   std::printf("WRITE: status=%d, %.1f us end-to-end "
               "(SA %.1f | FN %.1f | BN %.1f | SSD %.1f)\n",
-              static_cast<int>(write_result.status),
-              to_us(write_result.trace.total_ns()),
-              to_us(write_result.trace.sa_ns), to_us(write_result.trace.fn_ns),
-              to_us(write_result.trace.bn_ns),
-              to_us(write_result.trace.ssd_ns));
+              static_cast<int>(write_result.status), to_us(w.total()),
+              to_us(w.sa), to_us(w.fn), to_us(w.bn), to_us(w.ssd));
 
   // 4. Read it back and verify every byte survived the trip through the
   //    FPGA pipeline, the fabric, and three replicas.
@@ -66,13 +63,8 @@ int main() {
   read.op = transport::OpType::kRead;
   read.offset = 1 << 20;
   read.len = 16384;
-  transport::IoResult read_result;
-  engine.at(engine.now(), [&] {
-    cluster.compute(0).submit_io(std::move(read), [&](transport::IoResult r) {
-      read_result = std::move(r);
-    });
-  });
-  engine.run();
+  const transport::IoResult read_result =
+      ebs::run_io(engine, cluster, std::move(read));
 
   bool intact = read_result.read_data.size() == expected.size();
   for (std::size_t i = 0; intact && i < expected.size(); ++i) {
@@ -80,6 +72,7 @@ int main() {
   }
   std::printf("READ : status=%d, %.1f us end-to-end, data intact: %s\n",
               static_cast<int>(read_result.status),
-              to_us(read_result.trace.total_ns()), intact ? "yes" : "NO");
+              to_us(ebs::breakdown(obs.tracer(), read_result.span).total()),
+              intact ? "yes" : "NO");
   return intact ? 0 : 1;
 }

@@ -1,8 +1,9 @@
 // Trace tour: follow one 4KB write (and its read-back) through the SOLAR
 // data path using the observability subsystem — guest NVMe submit, SA/QoS,
 // FPGA pipeline, internal PCIe, per-hop fabric traversal (folded from the
-// INT trail), block server, SSD — then render the causal span tree and
-// export a Perfetto-loadable Chrome trace.
+// INT trail), block server, SSD — then render the causal span tree with the
+// Fig. 6 SA/FN/BN/SSD split derived from it, and export a Perfetto-loadable
+// Chrome trace.
 //
 //   $ ./build/examples/trace_tour
 //   $ # then open trace_tour.trace.json at https://ui.perfetto.dev
@@ -10,9 +11,11 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ebs/cluster.h"
+#include "ebs/metrics.h"
 #include "obs/export.h"
 #include "obs/obs.h"
 
@@ -21,7 +24,8 @@ using namespace repro;
 namespace {
 
 // Indented tree render of the flight recorder, children ordered by start
-// time. Spans reference parents by id; id 0 is the root sentinel.
+// time, each I/O followed by its latency split. Spans reference parents by
+// id; id 0 is the root sentinel.
 void print_tree(const obs::Tracer& tracer) {
   std::map<std::uint64_t, obs::SpanRecord> by_id;
   std::map<std::uint64_t, std::vector<std::uint64_t>> children;
@@ -51,7 +55,14 @@ void print_tree(const obs::Tracer& tracer) {
                 to_us(r.t1 - r.t0), r.pid, args.c_str());
     for (std::uint64_t kid : children[id]) self(self, kid, depth + 1);
   };
-  for (std::uint64_t root : children[0]) print(print, root, 0);
+  for (std::uint64_t root : children[0]) {
+    print(print, root, 0);
+    if (!std::string_view(by_id[root].name).starts_with("io.")) continue;
+    const ebs::Breakdown b = ebs::breakdown(tracer, root);
+    std::printf("  => SA %.3f | FN %.3f | BN %.3f | SSD %.3f = %.3f us\n",
+                to_us(b.sa), to_us(b.fn), to_us(b.bn), to_us(b.ssd),
+                to_us(b.total()));
+  }
 }
 
 }  // namespace
@@ -87,20 +98,15 @@ int main() {
     if (op == transport::OpType::kWrite) {
       io.payload = transport::make_placeholder_blocks(io.offset, io.len, 4096);
     }
-    bool finished = false;
-    engine.at(engine.now(), [&] {
-      cluster.compute(0).submit_io(std::move(io),
-                                   [&](transport::IoResult) { finished = true; });
-    });
-    while (!finished && engine.step()) {
-    }
+    ebs::run_io(engine, cluster, std::move(io));
   }
   engine.run_until(engine.now() + ms(1));
 
   // 4. Walk the causal tree. The roots are the two io.* spans; under each:
   //    rpc.* (replication round) -> blk.net (one block's network leg, with
   //    fabric.hop children folded from the INT trail) and the server-side
-  //    server.cpu / bs.* / ssd.* stages.
+  //    server.cpu / bs.* / ssd.* stages; resp.net is a write's response,
+  //    blk.rx a read block's way from the NIC into guest memory.
   std::printf("=== span tree: 4KB write + read on SOLAR (%zu spans) ===\n",
               obs.tracer().size());
   print_tree(obs.tracer());

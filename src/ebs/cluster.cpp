@@ -375,4 +375,20 @@ void Cluster::set_slo(std::uint64_t vd_id, const qos::SloSpec& spec) {
   slos_.set(vd_id, spec);
 }
 
+transport::IoResult run_io(sim::Engine& engine, Cluster& cluster,
+                           transport::IoRequest io) {
+  transport::IoResult out;
+  out.status = transport::StorageStatus::kTimeout;
+  bool done = false;
+  engine.at(engine.now(), [&] {
+    cluster.compute(0).submit_io(std::move(io), [&](transport::IoResult r) {
+      out = std::move(r);
+      done = true;
+    });
+  });
+  while (!done && engine.step()) {
+  }
+  return out;
+}
+
 }  // namespace repro::ebs

@@ -243,4 +243,10 @@ class Cluster {
   std::uint64_t next_vd_ = 1;
 };
 
+/// Submits `io` on compute node 0 and steps `engine` until it completes:
+/// one probe I/O at a time. Status kTimeout if the engine runs out of
+/// events first.
+transport::IoResult run_io(sim::Engine& engine, Cluster& cluster,
+                           transport::IoRequest io);
+
 }  // namespace repro::ebs

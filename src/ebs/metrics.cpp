@@ -1,5 +1,13 @@
 #include "ebs/metrics.h"
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 namespace repro::ebs {
 
 void MetricSink::record(const transport::IoRequest& io,
@@ -9,42 +17,125 @@ void MetricSink::record(const transport::IoRequest& io,
   if (res.status != transport::StorageStatus::kOk) ++errors_;
   // Latency excludes QoS queueing (Fig. 6 caption) but is wall time
   // otherwise.
-  const TimeNs latency =
-      res.completed_at - issued_at - res.trace.qos_wait_ns;
+  const TimeNs latency = res.completed_at - issued_at - res.qos_wait_ns;
   if (res.completed_at - issued_at >= kHangThreshold) ++hangs_;
   total_.record(latency);
   (io.op == transport::OpType::kRead ? read_total_ : write_total_)
       .record(latency);
-  sa_.record(res.trace.sa_ns);
-  fn_.record(res.trace.fn_ns);
-  bn_.record(res.trace.bn_ns);
-  ssd_.record(res.trace.ssd_ns);
-}
-
-void MetricSink::register_with(obs::Registry& reg,
-                               const obs::Labels& labels) {
-  reg.expose_histogram("ebs.latency_total", labels, &total_);
-  reg.expose_histogram("ebs.latency_sa", labels, &sa_);
-  reg.expose_histogram("ebs.latency_fn", labels, &fn_);
-  reg.expose_histogram("ebs.latency_bn", labels, &bn_);
-  reg.expose_histogram("ebs.latency_ssd", labels, &ssd_);
-  reg.expose_histogram("ebs.latency_read", labels, &read_total_);
-  reg.expose_histogram("ebs.latency_write", labels, &write_total_);
-  reg.expose_counter("ebs.ios", labels, &ios_);
-  reg.expose_counter("ebs.errors", labels, &errors_);
-  reg.expose_counter("ebs.hangs", labels, &hangs_);
-  reg.expose_counter("ebs.bytes", labels, &bytes_, /*sampled=*/true);
 }
 
 void MetricSink::clear() {
   total_.clear();
-  sa_.clear();
-  fn_.clear();
-  bn_.clear();
-  ssd_.clear();
   read_total_.clear();
   write_total_.clear();
   ios_ = errors_ = hangs_ = bytes_ = 0;
+}
+
+namespace {
+
+using obs::SpanRecord;
+using Spans = std::vector<const SpanRecord*>;  ///< sorted by parent
+
+TimeNs dur(const SpanRecord& s) { return s.t1 - s.t0; }
+bool is(const SpanRecord& s, std::string_view prefix) {
+  return std::string_view(s.name).starts_with(prefix);
+}
+bool by_parent(const SpanRecord* a, const SpanRecord* b) {
+  return a->parent < b->parent;
+}
+
+/// Calls `f` on each child of span `id`, and on all descendants if `deep`.
+template <class F>
+void visit(const Spans& spans, std::uint64_t id, bool deep, F&& f) {
+  SpanRecord key;
+  key.parent = id;
+  auto [it, end] =
+      std::equal_range(spans.begin(), spans.end(), &key, by_parent);
+  for (; it != end; ++it) {
+    f(**it);
+    if (deep) visit(spans, (*it)->id, true, f);
+  }
+}
+
+/// The slowest bs.* and ssd.* below span `id`.
+std::pair<TimeNs, TimeNs> server(const Spans& spans, std::uint64_t id) {
+  TimeNs bn = 0, ssd = 0;
+  visit(spans, id, true, [&](const SpanRecord& s) {
+    if (is(s, "bs.")) bn = std::max(bn, dur(s));
+    if (is(s, "ssd.")) ssd = std::max(ssd, dur(s));
+  });
+  return {bn, ssd};
+}
+
+}  // namespace
+
+Breakdown breakdown(const obs::Tracer& tracer, std::uint64_t root) {
+  const SpanRecord* io = root == 0 ? nullptr : tracer.find(root);
+  if (io == nullptr || tracer.latest_dropped_t0() >= io->t0) {
+    throw std::runtime_error(
+        "ebs::breakdown(span " + std::to_string(root) + "): " +
+        (io == nullptr ? "no root span retained (was the I/O traced?)"
+                       : "the trace ring wrapped past the I/O's first span"));
+  }
+  Spans spans;  // no span of an I/O starts before the I/O does
+  tracer.for_each([&](const SpanRecord& s) {
+    if (s.t0 >= io->t0 && s.parent != 0) spans.push_back(&s);
+  });
+  std::stable_sort(spans.begin(), spans.end(), by_parent);
+
+  Breakdown b;
+  std::tie(b.bn, b.ssd) = server(spans, root);
+  // Kernel TCP, LUNA, RDMA: the agent's CPU before the RPCs and after the
+  // last response (sa.cpu, sa.post) is the SA; each rpc.* is one frontend
+  // round trip around the block server's bs.* > ssd.*.
+  bool sa_stack = false;
+  visit(spans, root, false, [&](const SpanRecord& s) {
+    if (!is(s, "sa.")) return;
+    sa_stack = true;
+    b.sa += dur(s);
+  });
+  // A round trip's frontend share is its time less the server stages below.
+  auto frontend = [&](const SpanRecord& s, TimeNs wall) {
+    const auto [bn, ssd] = server(spans, s.id);
+    b.fn = std::max(b.fn, wall - bn - ssd);
+  };
+  if (sa_stack) {
+    visit(spans, root, false, [&](const SpanRecord& s) {
+      if (is(s, "rpc.")) frontend(s, dur(s));
+    });
+    return b;
+  }
+  // SOLAR: the DPU holds the I/O from admission until its first block
+  // leaves (blk.net* start) and from its last network arrival (a write's
+  // ACKs and response, a read block reaching the DPU, a timeout) until
+  // completion. FN is, per write RPC, issue to response and, per read
+  // block, request to landing, less the server stages below. Duplicate and
+  // read-request ACKs have no span; without faults neither arrives last.
+  const bool read = std::string_view(io->name) == "io.read";
+  TimeNs admitted = io->t0, first_tx = io->t1, last_rx = io->t0;
+  visit(spans, root, false, [&](const SpanRecord& rpc) {
+    if (is(rpc, "qos.wait")) admitted = rpc.t1;
+    visit(spans, rpc.id, false, [&](const SpanRecord& s) {
+      const std::string_view n = s.name;
+      if (n == "blk.net" || n == "blk.net.timeout") {
+        first_tx = std::min(first_tx, s.t0);
+        if (read && n == "blk.net") {
+          frontend(s, dur(s));
+        } else {
+          last_rx = std::max(last_rx, s.t1);
+        }
+      }
+      if (n == "blk.rx") last_rx = std::max(last_rx, s.t0);
+      if (n == "resp.net") {
+        last_rx = std::max(last_rx, s.t1);
+        frontend(rpc, s.t1 - rpc.t0);
+      }
+    });
+  });
+  // With no network event at all, the whole admitted time is the DPU's.
+  first_tx = std::min(first_tx, last_rx);
+  b.sa = (first_tx - admitted) + std::max<TimeNs>(0, io->t1 - last_rx);
+  return b;
 }
 
 }  // namespace repro::ebs

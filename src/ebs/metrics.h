@@ -1,6 +1,7 @@
-// Per-experiment metric collection: latency histograms per trace component
-// (the Fig. 6 breakdown), throughput and IOPS counters, and the I/O-hang
-// detector used by Table 2 / Fig. 8 (an I/O with no response for >= 1 s).
+// Per-experiment metric collection: latency histograms, throughput and IOPS
+// counters, and the I/O-hang detector used by Table 2 / Fig. 8 (an I/O with
+// no response for >= 1 s) — plus `breakdown`, the one place the Fig. 6
+// SA/FN/BN/SSD split is computed, from an I/O's trace spans.
 #pragma once
 
 #include <cstdint>
@@ -8,7 +9,7 @@
 
 #include "common/histogram.h"
 #include "common/units.h"
-#include "obs/registry.h"
+#include "obs/trace.h"
 #include "transport/message.h"
 
 namespace repro::ebs {
@@ -23,10 +24,6 @@ class MetricSink {
               TimeNs issued_at);
 
   const Histogram& total() const { return total_; }
-  const Histogram& sa() const { return sa_; }
-  const Histogram& fn() const { return fn_; }
-  const Histogram& bn() const { return bn_; }
-  const Histogram& ssd() const { return ssd_; }
   const Histogram& reads() const { return read_total_; }
   const Histogram& writes() const { return write_total_; }
 
@@ -53,17 +50,29 @@ class MetricSink {
 
   void clear();
 
-  /// Publishes the sink's histograms and counters on a registry (the
-  /// accessors above keep working unchanged — the registry holds
-  /// addresses, not copies).
-  void register_with(obs::Registry& reg, const obs::Labels& labels);
-
  private:
-  Histogram total_, sa_, fn_, bn_, ssd_, read_total_, write_total_;
+  Histogram total_, read_total_, write_total_;
   std::uint64_t ios_ = 0;
   std::uint64_t errors_ = 0;
   std::uint64_t hangs_ = 0;
   std::uint64_t bytes_ = 0;
 };
+
+/// Fig. 6's split of one I/O's latency. QoS wait is in none of the four
+/// components (the figure's caption excludes it).
+struct Breakdown {
+  TimeNs sa = 0;   ///< storage agent: SA cores, or the DPU for SOLAR
+  TimeNs fn = 0;   ///< frontend network, transport stack included
+  TimeNs bn = 0;   ///< backend network: the block server's stage
+  TimeNs ssd = 0;  ///< SSD service inside it
+
+  TimeNs total() const { return sa + fn + bn + ssd; }
+};
+
+/// The breakdown of the I/O whose root span is `root` (its `IoResult::span`),
+/// derived from the spans `tracer` retains. Throws std::runtime_error, never
+/// splits part of a tree, when the I/O was not traced, its root is gone or
+/// the ring overwrote a span that started during the I/O.
+Breakdown breakdown(const obs::Tracer& tracer, std::uint64_t root);
 
 }  // namespace repro::ebs

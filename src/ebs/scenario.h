@@ -82,7 +82,11 @@ struct ScenarioSpec {
 };
 
 // JSON field lists (see obs/fields.h): each key is named once, in output
-// order, and the same list writes, reads and strict-checks the spec.
+// order, and the same list writes, reads and strict-checks the spec. A
+// value `build_scenario` cannot honour (no storage node, an empty rack,
+// a fraction above 1) is refused here, naming its key.
+inline constexpr const char* kAtLeastOne = "must be at least 1";
+
 template <class V>
 void fields(V& v, VdSpec& vd) {
   v.field("size_bytes", vd.size_bytes);
@@ -94,11 +98,15 @@ template <class V>
 void fields(V& v, WorkloadSpec& w) {
   v.field("block_size", w.block_size);
   v.field("iodepth", w.iodepth);
+  v.check("iodepth", w.iodepth >= 1, kAtLeastOne);
   v.field("read_fraction", w.read_fraction);
+  v.check("read_fraction", w.read_fraction >= 0.0 && w.read_fraction <= 1.0,
+          "must be in [0, 1]");
   v.field("sequential", w.sequential);
   v.field("real_payload", w.real_payload);
   v.field("max_ios", w.max_ios);
   v.field("poisson_iops", w.poisson_iops);
+  v.check("poisson_iops", w.poisson_iops >= 0.0, "must not be negative");
 }
 
 template <class V>
@@ -106,15 +114,23 @@ void fields(V& v, ScenarioSpec& s) {
   v.field("name", s.name);
   v.object("topology", [&s](V& t) {
     t.field("compute", s.compute_nodes);
+    t.check("compute", s.compute_nodes >= 1, kAtLeastOne);
     t.field("storage", s.storage_nodes);
+    t.check("storage", s.storage_nodes >= 1, kAtLeastOne);
     t.field("servers_per_rack", s.servers_per_rack);
+    t.check("servers_per_rack", s.servers_per_rack >= 1, kAtLeastOne);
     t.field("spines_per_pod", s.spines_per_pod);
+    t.check("spines_per_pod", s.spines_per_pod >= 1, kAtLeastOne);
     t.field("core_switches", s.core_switches);
+    t.check("core_switches", s.core_switches >= 1, kAtLeastOne);
     // Written only when sharded so single-engine specs round-trip unchanged.
     t.field_if(s.shards != 1, "shards", s.shards);
+    t.check("shards", s.shards >= 1, kAtLeastOne);
     t.field_if(s.threads != 1, "threads", s.threads);
+    t.check("threads", s.threads >= 1, kAtLeastOne);
   });
   v.field_if(s.vd_stripe_width != 0, "vd_stripe_width", s.vd_stripe_width);
+  v.check("vd_stripe_width", s.vd_stripe_width >= 0, "must not be negative");
   v.field("stack", s.stack, stack_from_string);
   v.field_if(!s.compute_stacks.empty(), "compute_stacks", s.compute_stacks,
              stack_from_string);

@@ -183,6 +183,7 @@ void EcClient::submit_io(IoRequest io, IoCompleteFn done) {
                if (res.status == StorageStatus::kOk ||
                    res.status == StorageStatus::kOutOfRange ||
                    res.status == StorageStatus::kRejected) {
+                 res.span = 0;  // a striped I/O has no one span tree
                  done(std::move(res));
                  return;
                }
@@ -243,7 +244,7 @@ void EcClient::submit_io(IoRequest io, IoCompleteFn done) {
                      agg->result.status == StorageStatus::kOk) {
                    agg->result.status = res.status;
                  }
-                 agg->result.trace.accumulate(res.trace);
+                 agg->result.qos_wait_ns += res.qos_wait_ns;
                  if (--agg->remaining == 0) {
                    agg->result.completed_at = engine_.now();
                    agg->done(std::move(agg->result));
@@ -274,7 +275,7 @@ void EcClient::submit_per_cell_read(IoRequest io, IoCompleteFn done) {
         agg->result.status == StorageStatus::kOk) {
       agg->result.status = res.status;
     }
-    agg->result.trace.accumulate(res.trace);
+    agg->result.qos_wait_ns += res.qos_wait_ns;
     if (!res.read_data.empty()) {
       agg->blocks[static_cast<std::size_t>(idx)] =
           std::move(res.read_data.front());
@@ -382,12 +383,12 @@ void EcClient::read_cell_degraded(const RowRef& row, int p,
       return;
     }
     auto remaining = std::make_shared<int>(0);
-    auto trace = std::make_shared<transport::IoTrace>();
+    auto qos_wait = std::make_shared<TimeNs>(0);
     auto failed = std::make_shared<bool>(false);
     auto finish = [this, st, row, p, geo, release, done = std::move(done),
-                   trace, failed]() mutable {
+                   qos_wait, failed]() mutable {
       IoResult res;
-      res.trace = *trace;
+      res.qos_wait_ns = *qos_wait;
       res.completed_at = engine_.now();
       if (*failed) {
         res.status = StorageStatus::kTimeout;
@@ -432,8 +433,8 @@ void EcClient::read_cell_degraded(const RowRef& row, int p,
       if (s.implicit_zero) continue;
       inner_submit(
           cell_read(row.vd, frag_offset(geo, row, s.frag), false),
-          [st, i, remaining, trace, failed, finish](IoResult r) mutable {
-            trace->accumulate(r.trace);
+          [st, i, remaining, qos_wait, failed, finish](IoResult r) mutable {
+            *qos_wait += r.qos_wait_ns;
             if (r.status != StorageStatus::kOk) {
               *failed = true;
             } else if (!r.read_data.empty()) {
@@ -486,15 +487,17 @@ void EcClient::write_cell(const RowRef& row, int p, DataBlock block,
                      wr]() mutable {
         IoResult res;
         res.status = wr->old_reads[0].status;
-        for (const IoResult& r : st->old_reads) res.trace.accumulate(r.trace);
+        for (const IoResult& r : st->old_reads) {
+          res.qos_wait_ns += r.qos_wait_ns;
+        }
         bool parity_failed = false;
         for (std::size_t q = 1; q < wr->old_reads.size(); ++q) {
-          res.trace.accumulate(wr->old_reads[q].trace);
+          res.qos_wait_ns += wr->old_reads[q].qos_wait_ns;
           if (wr->old_reads[q].status != StorageStatus::kOk) {
             parity_failed = true;
           }
         }
-        res.trace.accumulate(wr->old_reads[0].trace);
+        res.qos_wait_ns += wr->old_reads[0].qos_wait_ns;
         res.completed_at = engine_.now();
         // A failed data write leaves the data cell's on-disk content
         // indeterminate while the delta parity writes may have landed —

@@ -162,34 +162,25 @@ void write_series_csv(std::ostream& os, const Registry& registry,
   }
 }
 
+// A stream that failed to open ignores the writes; flushing reports a
+// failure to open and a failed write alike.
 bool export_chrome_trace(const std::string& path, const Tracer& tracer) {
   std::ofstream f(path);
-  if (!f) return false;
   write_chrome_trace(f, tracer);
-  return true;
+  return f.flush().good();
 }
 
 bool export_metrics_json(const std::string& path, const Registry& registry) {
   std::ofstream f(path);
-  if (!f) return false;
   write_metrics_json(f, registry);
-  return true;
-}
-
-bool export_series_json(const std::string& path, const Registry& registry,
-                        const Sampler& sampler) {
-  std::ofstream f(path);
-  if (!f) return false;
-  write_series_json(f, registry, sampler);
-  return true;
+  return f.flush().good();
 }
 
 bool export_series_csv(const std::string& path, const Registry& registry,
                        const Sampler& sampler) {
   std::ofstream f(path);
-  if (!f) return false;
   write_series_csv(f, registry, sampler);
-  return true;
+  return f.flush().good();
 }
 
 }  // namespace repro::obs

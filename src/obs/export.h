@@ -30,11 +30,9 @@ void write_series_json(std::ostream& os, const Registry& registry,
 void write_series_csv(std::ostream& os, const Registry& registry,
                       const Sampler& sampler);
 
-/// File-writing wrappers; return false if the file cannot be opened.
+/// File-writing wrappers; return false unless the whole file was written.
 bool export_chrome_trace(const std::string& path, const Tracer& tracer);
 bool export_metrics_json(const std::string& path, const Registry& registry);
-bool export_series_json(const std::string& path, const Registry& registry,
-                        const Sampler& sampler);
 bool export_series_csv(const std::string& path, const Registry& registry,
                        const Sampler& sampler);
 

@@ -21,6 +21,7 @@
 //   micros(key, ns)                  a TimeNs written as double microseconds
 //   object(key, fn)                  a nested object of the same struct
 //   check(ok, why)                   a read is refused unless `ok`
+//   check(key, ok, why)              the same, naming `key`'s path
 //
 // `parse` is an enum's `bool(const std::string&, E*)` name parser; the
 // writer finds its `to_string` by argument-dependent lookup.
@@ -79,6 +80,7 @@ class JsonOut {
     w_.end_object();
   }
   void check(bool, const char*) {}
+  void check(std::string_view, bool, const char*) {}
 
   template <class T>
   void put(const T& x) {
@@ -147,6 +149,9 @@ class JsonIn {
   }
   void check(bool ok, const char* why) {
     if (!ok) fail(path_, why);
+  }
+  void check(std::string_view key, bool ok, const char* why) {
+    if (!ok) fail(at(key), why);
   }
 
   /// Reads `*j` into `x`; false (with `error()` set) when it does not fit.

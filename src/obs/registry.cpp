@@ -100,20 +100,6 @@ void Registry::expose_counter(const std::string& name, const Labels& labels,
   entries_.push_back(std::move(e));
 }
 
-void Registry::expose_histogram(const std::string& name, const Labels& labels,
-                                const Histogram* h) {
-  if (!enabled_ || h == nullptr) return;
-  const std::string key = metric_key(name, labels);
-  if (index_.count(key)) return;
-  MetricEntry e;
-  e.name = name;
-  e.labels = labels;
-  e.kind = MetricKind::kHistogram;
-  e.hist = h;
-  index_.emplace(key, entries_.size());
-  entries_.push_back(std::move(e));
-}
-
 void Registry::expose_gauge(const std::string& name, const Labels& labels,
                             GaugeFn fn, bool sampled) {
   if (!enabled_ || !fn) return;

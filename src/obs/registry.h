@@ -100,12 +100,10 @@ class Registry {
   /// return a scratch histogram that is never exported.
   Histogram* histogram(const std::string& name, const Labels& labels = {});
 
-  /// Publishes an existing component-owned counter/histogram by address.
-  /// The pointee must outlive the registry's export calls.
+  /// Publishes an existing component-owned counter by address. The
+  /// pointee must outlive the registry's export calls.
   void expose_counter(const std::string& name, const Labels& labels,
                       const std::uint64_t* v, bool sampled = false);
-  void expose_histogram(const std::string& name, const Labels& labels,
-                        const Histogram* h);
 
   /// Publishes a derived value; `fn` is called at sample/export instants
   /// only, never on the simulation hot path.

@@ -11,7 +11,8 @@
 // The recorder is a set of fixed-capacity rings fully allocated up front:
 // recording a span is a couple of stores plus one wrapping index increment,
 // with zero steady-state allocations. When full a ring overwrites its
-// oldest records (flight-recorder semantics) and counts the drops. Span
+// oldest records (flight-recorder semantics), counting the drops and the
+// latest start time it overwrote. Span
 // names and arg names must be string literals (static storage) — records
 // keep the pointer only.
 //
@@ -31,6 +32,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -141,6 +143,14 @@ class Tracer {
     for (const Ring& r : rings_) n += r.dropped();
     return n;
   }
+  /// Latest `t0` among the records the rings overwrote (kNoneDropped when
+  /// none were): every span starting after it is still retained.
+  static constexpr TimeNs kNoneDropped = std::numeric_limits<TimeNs>::min();
+  TimeNs latest_dropped_t0() const {
+    TimeNs t = kNoneDropped;
+    for (const Ring& r : rings_) t = std::max(t, r.dropped_t0);
+    return t;
+  }
 
   /// Visits retained records: single ring (legacy) oldest-first in record
   /// order; sharded rings merged by (t0, id) — deterministic regardless of
@@ -184,6 +194,7 @@ class Tracer {
     for (Ring& r : rings_) {
       r.total = 0;
       r.next_seq = 1;
+      r.dropped_t0 = kNoneDropped;
     }
   }
 
@@ -193,6 +204,7 @@ class Tracer {
     std::uint64_t total = 0;
     std::uint64_t next_seq = 1;
     std::uint64_t id_tag = 0;
+    TimeNs dropped_t0 = kNoneDropped;
 
     std::size_t size() const {
       return total < ring.size() ? static_cast<std::size_t>(total)
@@ -232,6 +244,9 @@ class Tracer {
                       const char* arg2_name, std::uint64_t arg2) {
     SpanRecord& rec =
         r.ring[static_cast<std::size_t>(r.total % r.ring.size())];
+    if (r.total >= r.ring.size()) {
+      r.dropped_t0 = std::max(r.dropped_t0, rec.t0);
+    }
     ++r.total;
     rec.id = id;
     rec.parent = parent;

@@ -86,8 +86,7 @@ void NodeAdmission::submit(transport::IoRequest io,
          Tenant& t = tenants_.find(vd)->second;
          --t.inflight;
          --node_inflight_;
-         TimeNs latency =
-             res.completed_at - now - res.trace.qos_wait_ns;
+         TimeNs latency = res.completed_at - now - res.qos_wait_ns;
          if (latency < 0) latency = 0;
          t.predictor.on_complete(engine_.now(), latency);
          node_predictor_.on_complete(engine_.now(), latency);

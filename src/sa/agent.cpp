@@ -20,12 +20,7 @@ struct StorageAgent::Gather {
   std::uint64_t span = 0;   ///< root trace span of the I/O (0 = untraced)
   TimeNs submitted_at = 0;
   StorageStatus status = StorageStatus::kOk;
-  TimeNs fn_max = 0;
-  TimeNs bn_max = 0;
-  TimeNs ssd_max = 0;
-  TimeNs sa_pre = 0;
   TimeNs qos_wait = 0;
-  TimeNs last_resp_at = 0;
   IoRequest io;
   std::vector<std::pair<Extent, StorageResponse>> responses;
   transport::IoCompleteFn done;
@@ -104,7 +99,6 @@ void StorageAgent::run_io(IoRequest io, transport::IoCompleteFn done,
   cpu_.submit(io.vd_id, cpu_cost, [this, io = std::move(io),
                                    done = std::move(done), admitted_at,
                                    qos_wait, io_span]() mutable {
-    const TimeNs sa_pre = engine_.now() - admitted_at;
     if (obs::Tracer* t = trc()) {
       t->span("sa.cpu", io_span, admitted_at, engine_.now(), pid_, 0,
               "blocks", io.payload.size());
@@ -141,7 +135,6 @@ void StorageAgent::run_io(IoRequest io, transport::IoCompleteFn done,
     g->remaining = static_cast<int>(extents.size());
     g->span = io_span;
     g->submitted_at = admitted_at - qos_wait;
-    g->sa_pre = sa_pre;
     g->qos_wait = qos_wait;
     g->io = std::move(io);
     g->done = std::move(done);
@@ -168,7 +161,6 @@ void StorageAgent::run_io(IoRequest io, transport::IoCompleteFn done,
       const TimeNs call_at = engine_.now();
       rpc_.call(ext.loc.block_server, std::move(req),
                 [this, g, ext, call_at](StorageResponse resp) {
-                  const TimeNs elapsed = engine_.now() - call_at;
                   if (obs::Tracer* t = trc()) {
                     // Server-side stage durations come back in the response
                     // metadata; anchor them at the response arrival, nested
@@ -184,19 +176,11 @@ void StorageAgent::run_io(IoRequest io, transport::IoCompleteFn done,
                     t->span(wr ? "ssd.write" : "ssd.read", bs_span,
                             now - resp.server_ssd_ns, now, pid_);
                   }
-                  g->fn_max = std::max(
-                      g->fn_max,
-                      elapsed - resp.server_bn_ns - resp.server_ssd_ns);
-                  g->bn_max = std::max(g->bn_max, resp.server_bn_ns);
-                  g->ssd_max = std::max(g->ssd_max, resp.server_ssd_ns);
                   if (resp.status != StorageStatus::kOk) {
                     g->status = resp.status;
                   }
                   g->responses.emplace_back(ext, std::move(resp));
-                  if (--g->remaining == 0) {
-                    g->last_resp_at = engine_.now();
-                    finish_io(g);
-                  }
+                  if (--g->remaining == 0) finish_io(g);
                 });
     }
   });
@@ -248,11 +232,8 @@ void StorageAgent::finish_io(const std::shared_ptr<Gather>& g) {
                 });
     }
     res.completed_at = engine_.now();
-    res.trace.sa_ns = g->sa_pre + (engine_.now() - g->last_resp_at);
-    res.trace.fn_ns = g->fn_max;
-    res.trace.bn_ns = g->bn_max;
-    res.trace.ssd_ns = g->ssd_max;
-    res.trace.qos_wait_ns = g->qos_wait;
+    res.qos_wait_ns = g->qos_wait;
+    res.span = g->span;
     g->done(std::move(res));
   });
 }

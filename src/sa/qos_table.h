@@ -3,7 +3,7 @@
 //
 // Fig. 6's caption notes that policy-based queueing delay (QoS) is excluded
 // from the latency breakdown; callers therefore receive the admission time
-// separately and record it as IoTrace::qos_wait_ns.
+// separately and report it as IoResult::qos_wait_ns.
 #pragma once
 
 #include <cstdint>

@@ -34,13 +34,7 @@ struct SolarClient::IoCtx {
   StorageStatus status = StorageStatus::kOk;
   std::uint64_t span = 0;  // root trace span (0 = untraced)
   TimeNs submitted_at = 0;
-  TimeNs admitted_at = 0;
   TimeNs qos_wait = 0;
-  TimeNs first_tx_at = -1;
-  TimeNs last_net_at = 0;
-  TimeNs fn_max = 0;
-  TimeNs bn_max = 0;
-  TimeNs ssd_max = 0;
   std::vector<DataBlock> read_data;
 };
 
@@ -62,9 +56,6 @@ struct SolarClient::RpcCtx {
   bool completed = false;
   StorageStatus status = StorageStatus::kOk;
   TimeNs started_at = 0;
-  TimeNs server_bn = 0;
-  TimeNs server_ssd = 0;
-  TimeNs fn_elapsed = 0;
   sim::TimerId response_timer = 0;
   int repair_rounds = 0;
 };
@@ -167,7 +158,6 @@ void SolarClient::submit_io(IoRequest io, transport::IoCompleteFn done) {
   ctx->done = std::move(done);
   ctx->submitted_at = now;
   ctx->qos_wait = admission.admit_at - now;
-  ctx->admitted_at = admission.admit_at;
   if (obs::Tracer* t = trc()) ctx->span = t->begin();
   if (ctx->qos_wait == 0) {
     start_io(std::move(ctx));
@@ -188,14 +178,14 @@ void SolarClient::start_io(std::shared_ptr<IoCtx> io) {
     IoResult res;
     res.status = StorageStatus::kOutOfRange;
     res.completed_at = engine_.now();
-    res.trace.qos_wait_ns = io->qos_wait;
+    res.qos_wait_ns = io->qos_wait;
     io->done(std::move(res));
     return;
   }
   if (io->qos_wait > 0) {
     if (obs::Tracer* t = trc()) {
-      t->span("qos.wait", io->span, io->submitted_at, io->admitted_at,
-              nic_.id());
+      t->span("qos.wait", io->span, io->submitted_at,
+              io->submitted_at + io->qos_wait, nic_.id());
     }
   }
   io->remaining_rpcs = static_cast<int>(extents.size());
@@ -419,7 +409,6 @@ void SolarClient::emit(const std::shared_ptr<RpcCtx>& rpc,
   frame.ts = engine_.now();
   rpc->st[pkt_id].sent_at = frame.ts;
   if (obs::Tracer* t = trc()) rpc->st[pkt_id].span = t->begin();
-  if (rpc->io->first_tx_at < 0) rpc->io->first_tx_at = frame.ts;
   if (rpc->st[pkt_id].timer != 0) engine_.cancel(rpc->st[pkt_id].timer);
   rpc->st[pkt_id].timer = engine_.schedule_after(
       path.rto(params_.path),
@@ -485,7 +474,6 @@ void SolarClient::handle_ack(const Frame& f, const net::IntTrail& int_recs) {
   auto rpc = it->second;
   if (f.rpc.pkt_id >= rpc->st.size()) return;
   BlockState& st = rpc->st[f.rpc.pkt_id];
-  rpc->io->last_net_at = engine_.now();
   PathSet& ps = pathset(rpc->dst);
   PathState* path = ps.by_port(st.port);
   const TimeNs rtt = f.echo_ts > 0 ? engine_.now() - f.echo_ts : 0;
@@ -540,11 +528,10 @@ void SolarClient::handle_write_response(const Frame& f) {
   auto rpc = it->second;
   if (rpc->response_received) return;
   rpc->response_received = true;
-  rpc->io->last_net_at = engine_.now();
-  rpc->server_bn = std::max(rpc->server_bn, f.server_bn);
-  rpc->server_ssd = std::max(rpc->server_ssd, f.server_ssd);
-  rpc->fn_elapsed = engine_.now() - rpc->started_at - rpc->server_bn -
-                    rpc->server_ssd;
+  if (obs::Tracer* t = trc()) {
+    t->span("resp.net", rpc->span, f.ts, engine_.now(), nic_.id(), 0,
+            "status", static_cast<std::uint64_t>(f.status));
+  }
   if (rpc->response_timer != 0) {
     engine_.cancel(rpc->response_timer);
     rpc->response_timer = 0;
@@ -641,11 +628,10 @@ void SolarClient::handle_read_response(const Frame& f,
   if (f.rpc.pkt_id >= rpc->st.size()) return;
   BlockState& st = rpc->st[f.rpc.pkt_id];
   if (st.arrived) return;  // duplicate response
-  rpc->io->last_net_at = engine_.now();
 
   DataBlock block = f.block;
   const std::uint16_t pkt_id = f.rpc.pkt_id;
-  auto deliver = [this, rpc, pkt_id, block = std::move(block), f,
+  auto deliver = [this, rpc, pkt_id, block = std::move(block),
                   int_recs]() mutable {
     BlockState& stt = rpc->st[pkt_id];
     if (stt.arrived || rpc->completed) return;
@@ -658,10 +644,16 @@ void SolarClient::handle_read_response(const Frame& f,
       dpu_.fpga().cipher().apply(rpc->io->io.vd_id, block.lba, block.data);
       hw_ok = !block.has_payload() || crc32_raw(block.data) == block.crc;
     }
-    auto finish = [this, rpc, pkt_id, block = std::move(block), f,
-                   int_recs, hw_ok]() mutable {
+    auto finish = [this, rpc, pkt_id, block = std::move(block), int_recs,
+                   hw_ok, rx_at = engine_.now()]() mutable {
       BlockState& stt = rpc->st[pkt_id];
       if (stt.arrived || rpc->completed) return;
+      if (obs::Tracer* t = trc()) {
+        // Inbound data path: fabric arrival -> landed in guest memory (or
+        // refused by the hardware CRC check).
+        t->span("blk.rx", rpc->span, rx_at, engine_.now(), nic_.id(),
+                stt.port, "pkt", pkt_id);
+      }
       if (!hw_ok) {
         // Hardware CRC check failed on the inbound block: treat as loss —
         // but a block that *persistently* fails integrity is a storage
@@ -693,11 +685,6 @@ void SolarClient::handle_read_response(const Frame& f,
         path->inflight = std::max(0, path->inflight - 1);
         ps.on_ack(*path, 0, int_recs);
       }
-      rpc->server_bn = std::max(rpc->server_bn, f.server_bn);
-      rpc->server_ssd = std::max(rpc->server_ssd, f.server_ssd);
-      rpc->fn_elapsed = std::max(
-          rpc->fn_elapsed, engine_.now() - stt.sent_at - f.server_bn -
-                               f.server_ssd);
       rpc->wire[pkt_id] = std::move(block);
       rpc->outstanding--;
       cpu_submit(tenant_of(rpc->io->io), rpc->rpc_id, params_.cpu_per_ack,
@@ -792,7 +779,6 @@ void SolarClient::on_block_timeout(std::uint64_t rpc_id,
   }
   ++st.retries;
   ++stats_.retransmits;
-  rpc->io->last_net_at = engine_.now();
   if (rpc->op == OpType::kWrite) {
     send_write_block(rpc, pkt_id, !params_.offload);
   } else {
@@ -916,9 +902,6 @@ void SolarClient::complete_rpc(const std::shared_ptr<RpcCtx>& rpc,
   }
   auto io = rpc->io;
   if (status != StorageStatus::kOk) io->status = status;
-  io->fn_max = std::max(io->fn_max, rpc->fn_elapsed);
-  io->bn_max = std::max(io->bn_max, rpc->server_bn);
-  io->ssd_max = std::max(io->ssd_max, rpc->server_ssd);
   if (rpc->op == OpType::kRead) {
     for (std::size_t i = 0; i < rpc->wire.size(); ++i) {
       DataBlock out = std::move(rpc->wire[i]);
@@ -948,14 +931,8 @@ void SolarClient::finish_io(const std::shared_ptr<IoCtx>& io) {
             [](const DataBlock& a, const DataBlock& b) {
               return a.lba < b.lba;
             });
-  const TimeNs first_tx = io->first_tx_at < 0 ? io->admitted_at
-                                              : io->first_tx_at;
-  res.trace.sa_ns = (first_tx - io->admitted_at) +
-                    std::max<TimeNs>(0, engine_.now() - io->last_net_at);
-  res.trace.fn_ns = io->fn_max;
-  res.trace.bn_ns = io->bn_max;
-  res.trace.ssd_ns = io->ssd_max;
-  res.trace.qos_wait_ns = io->qos_wait;
+  res.qos_wait_ns = io->qos_wait;
+  res.span = io->span;
   io->done(std::move(res));
 }
 

@@ -66,8 +66,6 @@ struct Frame {
 
   // Response-only metadata.
   transport::StorageStatus status = transport::StorageStatus::kOk;
-  TimeNs server_bn = 0;
-  TimeNs server_ssd = 0;
 
   /// ACKs return the INT trail the data packet collected on its way out,
   /// so the sender can run HPCC-style congestion control per path (§4.8).

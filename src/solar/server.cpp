@@ -1,7 +1,5 @@
 #include "solar/server.h"
 
-#include <algorithm>
-
 #include "common/crc32.h"
 #include "obs/obs.h"
 
@@ -82,8 +80,6 @@ void SolarServer::send_write_response(std::uint64_t rpc_id,
   resp.rpc.pkt_count = static_cast<std::uint16_t>(rpc.expected);
   resp.rpc.msg_type = RpcMsgType::kWriteResponse;
   resp.status = rpc.status;
-  resp.server_bn = rpc.max_bn;
-  resp.server_ssd = rpc.max_ssd;
   resp.ts = engine_.now();
   net::PacketPtr out = nic_.make_packet();
   out->flow = rpc.reply_flow;
@@ -170,8 +166,6 @@ void SolarServer::handle_write(const Frame& f, const net::Packet& pkt) {
           }
           w2.progress[pkt_id] = BlockProgress::kDone;
           ++w2.done_count;
-          w2.max_bn = std::max(w2.max_bn, bn);
-          w2.max_ssd = std::max(w2.max_ssd, ssd);
           if (status != StorageStatus::kOk) w2.status = status;
           if (w2.done_count == w2.expected) {
             w2.response_sent = true;
@@ -209,8 +203,6 @@ void SolarServer::handle_read(const Frame& f, const net::Packet& pkt) {
           resp.ebs = f.ebs;
           resp.ebs.payload_crc = block.crc;
           resp.status = status;
-          resp.server_bn = bn;
-          resp.server_ssd = ssd;
           resp.echo_ts = f.ts;
           resp.ts = engine_.now();
           resp.block = std::move(block);

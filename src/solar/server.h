@@ -51,8 +51,6 @@ class SolarServer {
     std::vector<BlockProgress> progress;
     bool response_sent = false;
     transport::StorageStatus status = transport::StorageStatus::kOk;
-    TimeNs max_bn = 0;
-    TimeNs max_ssd = 0;
     net::FlowKey reply_flow;  ///< reversed flow of the last block seen
     /// Trace span of the last block seen; stamped onto the response so the
     /// return path folds into the client's span tree (0 = untraced).

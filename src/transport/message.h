@@ -1,6 +1,5 @@
 // Storage-level messages exchanged between the compute side (SA) and the
-// block servers, plus the distributed-trace record the paper's Fig. 6
-// latency breakdown methodology relies on.
+// block servers, and the guest-visible I/O request and result.
 //
 // Payload handling: a DataBlock may carry real bytes (integrity and
 // correctness tests, Fig. 11 fault campaigns) or be a *sized placeholder*
@@ -27,26 +26,6 @@ struct DataBlock {
   std::uint32_t crc = 0;           ///< crc32_raw of data (when real)
 
   bool has_payload() const { return !data.empty(); }
-};
-
-/// Per-I/O distributed trace: time spent in each component, mirroring the
-/// paper's production monitoring (policy/QoS queueing is recorded apart and
-/// excluded from the component spans, as in Fig. 6's caption).
-struct IoTrace {
-  TimeNs sa_ns = 0;   ///< storage-agent processing (compute side)
-  TimeNs fn_ns = 0;   ///< frontend network incl. transport stack
-  TimeNs bn_ns = 0;   ///< backend network (intra-storage-cluster)
-  TimeNs ssd_ns = 0;  ///< chunk server processing + physical SSD
-  TimeNs qos_wait_ns = 0;  ///< admission delay (excluded from e2e spans)
-
-  TimeNs total_ns() const { return sa_ns + fn_ns + bn_ns + ssd_ns; }
-  void accumulate(const IoTrace& o) {
-    sa_ns += o.sa_ns;
-    fn_ns += o.fn_ns;
-    bn_ns += o.bn_ns;
-    ssd_ns += o.ssd_ns;
-    qos_wait_ns += o.qos_wait_ns;
-  }
 };
 
 /// One RPC against a single block server (an I/O may split into several if
@@ -108,7 +87,13 @@ struct IoRequest {
 
 struct IoResult {
   StorageStatus status = StorageStatus::kOk;
-  IoTrace trace;
+  /// Admission (QoS) delay before the I/O started; Fig. 6's caption keeps
+  /// it out of the latency breakdown.
+  TimeNs qos_wait_ns = 0;
+  /// Root trace span of the I/O (0 when dark): `ebs::breakdown` derives the
+  /// Fig. 6 components from its span tree. Always 0 for an I/O striped by
+  /// EC, whose inner I/Os each have a tree of their own.
+  std::uint64_t span = 0;
   TimeNs completed_at = 0;
   std::vector<DataBlock> read_data;
 };

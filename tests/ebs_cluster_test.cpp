@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "ebs/metrics.h"
+#include "obs/obs.h"
 #include "workload/fio.h"
 
 namespace repro::ebs {
@@ -37,6 +41,15 @@ IoResult run_one_io(sim::Engine& eng, Cluster& cluster, IoRequest io) {
   return out;
 }
 
+IoRequest read_io(std::uint64_t vd, std::uint64_t offset, std::uint32_t len) {
+  IoRequest io;
+  io.vd_id = vd;
+  io.op = OpType::kRead;
+  io.offset = offset;
+  io.len = len;
+  return io;
+}
+
 IoRequest write_io(std::uint64_t vd, std::uint64_t offset,
                    std::uint32_t len) {
   IoRequest io;
@@ -68,14 +81,18 @@ TEST_P(ClusterStacks, WriteAndReadComplete) {
 }
 
 TEST_P(ClusterStacks, TraceComponentsPopulated) {
+  obs::Obs obs;
   sim::Engine eng;
-  Cluster cluster(eng, small_params(GetParam()));
+  ClusterParams params = small_params(GetParam());
+  params.obs = &obs;
+  Cluster cluster(eng, params);
   const std::uint64_t vd = cluster.create_vd(1ull << 30);
   auto res = run_one_io(eng, cluster, write_io(vd, 4096, 4096));
   ASSERT_EQ(res.status, StorageStatus::kOk);
-  EXPECT_GT(res.trace.fn_ns, 0);
-  EXPECT_GT(res.trace.bn_ns, 0);
-  EXPECT_GT(res.trace.ssd_ns, 0);
+  const Breakdown b = breakdown(obs.tracer(), res.span);
+  EXPECT_GT(b.fn, 0);
+  EXPECT_GT(b.bn, 0);
+  EXPECT_GT(b.ssd, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStacks, ClusterStacks,
@@ -91,6 +108,68 @@ INSTANTIATE_TEST_SUITE_P(AllStacks, ClusterStacks,
                            }
                            return n;
                          });
+
+// A 4 KB write and its read-back on an SA stack (LUNA) and on SOLAR: every
+// component derived from the I/O's spans is positive, and an SA stack's
+// components add up to the I/O's wall latency exactly.
+TEST(Breakdown, DerivedFromSpansForReadsAndWrites) {
+  for (StackKind stack : {StackKind::kLuna, StackKind::kSolar}) {
+    obs::Obs obs;
+    sim::Engine eng;
+    ClusterParams params = small_params(stack);
+    params.obs = &obs;
+    Cluster cluster(eng, params);
+    const std::uint64_t vd = cluster.create_vd(1ull << 30);
+    for (OpType op : {OpType::kWrite, OpType::kRead}) {
+      SCOPED_TRACE(to_string(stack) +
+                   (op == OpType::kWrite ? " write" : " read"));
+      const TimeNs issued = eng.now();
+      const IoResult res = run_one_io(
+          eng, cluster,
+          op == OpType::kWrite ? write_io(vd, 0, 4096) : read_io(vd, 0, 4096));
+      ASSERT_EQ(res.status, StorageStatus::kOk);
+      const Breakdown b = breakdown(obs.tracer(), res.span);
+      EXPECT_GT(b.sa, 0);
+      EXPECT_GT(b.fn, 0);
+      EXPECT_GT(b.bn, 0);
+      EXPECT_GT(b.ssd, 0);
+      const TimeNs wall = res.completed_at - issued;
+      if (stack != StackKind::kSolar) {
+        EXPECT_EQ(b.total(), wall);
+      }
+      // Known defect, kept off until it is mended: SOLAR's split counts one
+      // interval twice (a write's DPU issue time is in SA and in FN, a read
+      // block's landing in FN and in SA), so its sum exceeds the wall time
+      // (the FOUND entry in CHANGES.md). The mend turns this on for SOLAR:
+      //   EXPECT_LE(b.total(), wall);
+    }
+  }
+}
+
+// A ring too small for one I/O has overwritten the start of its span tree:
+// the derivation refuses, rather than report the surviving part (or zeros).
+TEST(Breakdown, FailsLoudlyWhenTheRingWrapped) {
+  obs::ObsConfig oc;
+  oc.trace_capacity = 8;
+  obs::Obs obs(oc);
+  sim::Engine eng;
+  ClusterParams params = small_params(StackKind::kSolar);
+  params.obs = &obs;
+  Cluster cluster(eng, params);
+  const std::uint64_t vd = cluster.create_vd(1ull << 30);
+  const IoResult res = run_one_io(eng, cluster, write_io(vd, 0, 4096));
+  ASSERT_EQ(res.status, StorageStatus::kOk);
+  ASSERT_NE(obs.tracer().find(res.span), nullptr);  // the root survived
+  try {
+    breakdown(obs.tracer(), res.span);
+    ADD_FAILURE() << "breakdown of a wrapped trace returned";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("wrapped"), std::string::npos)
+        << e.what();
+  }
+  // An untraced I/O (span 0) is refused too.
+  EXPECT_THROW(breakdown(obs.tracer(), 0), std::runtime_error);
+}
 
 TEST(Cluster, LatencyOrderingMatchesPaper) {
   // Single 4KB write: kernel > luna > solar (Fig. 6 medians).

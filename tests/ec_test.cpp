@@ -6,16 +6,19 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/crc32.h"
 #include "ebs/cluster.h"
+#include "ebs/metrics.h"
 #include "ec/client.h"
 #include "ec/codec.h"
 #include "ec/params.h"
 #include "kernels/kernels.h"
 #include "obs/fields.h"
+#include "obs/obs.h"
 #include "sa/segment_table.h"
 
 namespace repro::ec {
@@ -364,6 +367,27 @@ TEST(EcCluster, WriteReadRoundTripUpdatesParity) {
   for (const auto& blk : rres.read_data) {
     EXPECT_EQ(blk.crc, crc32_raw(pattern(blk.len, blk.lba + 1)));
   }
+  EXPECT_EQ(cluster.compute(0).ec()->stats().degraded_reads, 0u);
+}
+
+// An EC-striped I/O runs as several inner I/Os, each with its own span
+// tree, so it has no root span to split: on a traced fleet its result
+// carries span 0 (the healthy read's pass-through included) and
+// ebs::breakdown refuses it rather than split one inner I/O as the whole.
+TEST(EcCluster, StripedResultsCarryNoRootSpan) {
+  obs::Obs obs;
+  sim::Engine eng;
+  ebs::ClusterParams params = ec_params(3, 2);
+  params.obs = &obs;
+  ebs::Cluster cluster(eng, params);
+  const std::uint64_t vd = cluster.create_vd(64ull << 20);
+  for (IoRequest io : {write_io(vd, 0, 16384), read_io(vd, 0, 16384)}) {
+    const IoResult res = run_one_io(eng, cluster, std::move(io));
+    ASSERT_EQ(res.status, StorageStatus::kOk);
+    EXPECT_EQ(res.span, 0u);
+    EXPECT_THROW(ebs::breakdown(obs.tracer(), res.span), std::runtime_error);
+  }
+  EXPECT_GT(obs.tracer().size(), 0u);  // the inner I/Os were traced
   EXPECT_EQ(cluster.compute(0).ec()->stats().degraded_reads, 0u);
 }
 

@@ -27,7 +27,7 @@ IoResult result_at(TimeNs completed, StorageStatus status = StorageStatus::kOk) 
 TEST(MetricSink, RecordsLatencyExcludingQosWait) {
   MetricSink sink;
   auto res = result_at(us(100));
-  res.trace.qos_wait_ns = us(40);
+  res.qos_wait_ns = us(40);
   sink.record(io_of(OpType::kWrite, 4096), res, /*issued_at=*/0);
   EXPECT_EQ(sink.ios(), 1u);
   // Recorded latency is 60us (100 wall - 40 qos), per Fig. 6's caption.
@@ -85,18 +85,25 @@ TEST(MetricSink, ClearResetsEverything) {
   EXPECT_EQ(sink.total().count(), 0u);
 }
 
+// The span tree an SA-stack read leaves, as the agent records it: 3 us of
+// SA CPU, one 95 us RPC whose response reports 15 us of block-server and
+// 60 us of SSD time, then 2 us of SA post-processing.
 TEST(MetricSink, ComponentBreakdownRecorded) {
-  MetricSink sink;
-  auto res = result_at(us(100));
-  res.trace.sa_ns = us(5);
-  res.trace.fn_ns = us(20);
-  res.trace.bn_ns = us(15);
-  res.trace.ssd_ns = us(60);
-  sink.record(io_of(OpType::kRead, 4096), res, 0);
-  EXPECT_NEAR(static_cast<double>(sink.sa().percentile(0.5)),
-              static_cast<double>(us(5)), us(1));
-  EXPECT_NEAR(static_cast<double>(sink.ssd().percentile(0.5)),
-              static_cast<double>(us(60)), us(3));
+  obs::Tracer t(true, 64);
+  const std::uint64_t io = t.begin();
+  t.span("sa.cpu", io, 0, us(3), 1);
+  const std::uint64_t rpc = t.span("rpc.read", io, us(3), us(98), 1);
+  const std::uint64_t bs = t.span("bs.read", rpc, us(83), us(98), 1);
+  t.span("ssd.read", bs, us(38), us(98), 1);
+  t.span("sa.post", io, us(98), us(100), 1);
+  t.span_with_id(io, "io.read", 0, 0, us(100), 1);
+
+  const Breakdown b = breakdown(t, io);
+  EXPECT_EQ(b.sa, us(5));
+  EXPECT_EQ(b.fn, us(20));
+  EXPECT_EQ(b.bn, us(15));
+  EXPECT_EQ(b.ssd, us(60));
+  EXPECT_EQ(b.total(), us(100));
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "common/crc32.h"
+#include "ebs/metrics.h"
+#include "obs/obs.h"
 #include "sa/agent.h"
 #include "sa/crypto.h"
 #include "sa/qos_table.h"
@@ -164,6 +166,7 @@ TEST(BlockCipher, HandlesOddLengths) {
 // ---- End-to-end SA over LUNA to a real block server ----------------------
 
 struct SaFixture {
+  obs::Obs obs;  ///< traces the agent once a test calls `traced()`
   sim::Engine eng;
   net::Network net{eng, net::NetworkParams{}, 7};
   net::TwoHosts hosts = net::build_two_hosts(net, gbps(25), us(1));
@@ -196,6 +199,15 @@ struct SaFixture {
                                            client_stack,
                                            encrypt ? &cipher : nullptr,
                                            sa_params);
+  }
+
+  /// Records the agent's spans, so `ebs::breakdown` can split its I/Os.
+  void traced() {
+    agent->set_obs(&obs, static_cast<std::uint32_t>(hosts.a->id()));
+  }
+
+  ebs::Breakdown breakdown(const IoResult& res) const {
+    return ebs::breakdown(obs.tracer(), res.span);
   }
 
   IoResult run_io(IoRequest io) {
@@ -297,16 +309,18 @@ TEST(StorageAgent, UnmappedRangeFailsFast) {
 
 TEST(StorageAgent, TraceBreakdownCoversComponents) {
   SaFixture f;
+  f.traced();
   Rng rng(12);
   auto res = f.run_io(f.write_io(0, 4096, rng));
   ASSERT_EQ(res.status, StorageStatus::kOk);
-  EXPECT_GT(res.trace.sa_ns, 0);
-  EXPECT_GT(res.trace.fn_ns, 0);
-  EXPECT_GT(res.trace.bn_ns, 0);
-  EXPECT_GT(res.trace.ssd_ns, 0);
-  EXPECT_EQ(res.trace.qos_wait_ns, 0);
+  const ebs::Breakdown b = f.breakdown(res);
+  EXPECT_GT(b.sa, 0);
+  EXPECT_GT(b.fn, 0);
+  EXPECT_GT(b.bn, 0);
+  EXPECT_GT(b.ssd, 0);
+  EXPECT_EQ(res.qos_wait_ns, 0);
   // Total must roughly equal wall time (no double counting).
-  EXPECT_NEAR(static_cast<double>(res.trace.total_ns()),
+  EXPECT_NEAR(static_cast<double>(b.total()),
               static_cast<double>(res.completed_at), res.completed_at * 0.25);
 }
 
@@ -316,12 +330,13 @@ TEST(StorageAgent, QosWaitExcludedFromSpansButReported) {
   spec.iops_limit = 100;  // 10ms between IOs
   spec.burst_ios = 1;
   f.qos.set(1, spec);
+  f.traced();
   Rng rng(13);
   auto r1 = f.run_io(f.write_io(0, 4096, rng));
-  EXPECT_EQ(r1.trace.qos_wait_ns, 0);
+  EXPECT_EQ(r1.qos_wait_ns, 0);
   auto r2 = f.run_io(f.write_io(4096, 4096, rng));
-  EXPECT_GT(r2.trace.qos_wait_ns, ms(5));
-  EXPECT_LT(r2.trace.sa_ns, ms(5));  // wait not charged to SA span
+  EXPECT_GT(r2.qos_wait_ns, ms(5));
+  EXPECT_LT(f.breakdown(r2).sa, ms(5));  // wait not charged to SA span
 }
 
 TEST(StorageAgent, CorruptionDetectedOnRead) {

@@ -8,6 +8,7 @@
 
 #include "common/crc32.h"
 #include "net/topology.h"
+#include "obs/obs.h"
 #include "solar/client.h"
 
 namespace repro::solar {
@@ -55,8 +56,9 @@ struct ServerRig {
     return f;
   }
 
-  void send(Frame f) {
+  void send(Frame f, std::uint64_t span = 0) {
     net::Packet pkt;
+    pkt.span = span;
     pkt.flow = net::FlowKey{hosts.a->ip(), hosts.b->ip(), 40000,
                             SolarClient::kServerPort, net::Proto::kUdp};
     pkt.size_bytes = frame_wire_bytes(f);
@@ -146,7 +148,10 @@ TEST(SolarServer, CorruptBlockRejectedWithCrcStatus) {
 }
 
 TEST(SolarServer, ReadRequestAckedThenAnswered) {
+  obs::Obs obs;
   ServerRig rig;
+  rig.net.set_obs(&obs);
+  const std::uint64_t request_span = obs.tracer().begin();
   rig.eng.at(0, [&] { rig.send(rig.write_frame(600, 0, 1)); });
   rig.eng.run();
   rig.client_rx.clear();
@@ -161,7 +166,7 @@ TEST(SolarServer, ReadRequestAckedThenAnswered) {
     req.ebs.lba = 0;
     req.ebs.block_len = 4096;
     req.ts = rig.eng.now();
-    rig.send(std::move(req));
+    rig.send(std::move(req), request_span);
   });
   rig.eng.run();
   EXPECT_EQ(rig.count(RpcMsgType::kAck), 1);
@@ -170,10 +175,25 @@ TEST(SolarServer, ReadRequestAckedThenAnswered) {
     if (f.rpc.msg_type == RpcMsgType::kReadResponse) {
       EXPECT_EQ(f.block.data,
                 std::vector<std::uint8_t>(4096, 1));  // pkt_id 0 + 1
-      EXPECT_GT(f.server_ssd, 0);
-      EXPECT_GT(f.server_bn, 0);
     }
   }
+  // The server's stages hang under the request's span: bs.read > ssd.read.
+  std::uint64_t bs_span = 0;
+  obs.tracer().for_each([&](const obs::SpanRecord& r) {
+    if (r.parent == request_span && std::string(r.name) == "bs.read") {
+      EXPECT_GT(r.t1, r.t0);
+      bs_span = r.id;
+    }
+  });
+  ASSERT_NE(bs_span, 0u);
+  int ssd_spans = 0;
+  obs.tracer().for_each([&](const obs::SpanRecord& r) {
+    if (r.parent == bs_span && std::string(r.name) == "ssd.read") {
+      EXPECT_GT(r.t1, r.t0);
+      ++ssd_spans;
+    }
+  });
+  EXPECT_EQ(ssd_spans, 1);
 }
 
 TEST(SolarServer, AckEchoesTimestampAndInt) {

@@ -2,7 +2,9 @@
 
 #include "common/crc32.h"
 #include "common/histogram.h"
+#include "ebs/metrics.h"
 #include "net/topology.h"
+#include "obs/obs.h"
 #include "solar/client.h"
 #include "solar/server.h"
 
@@ -16,6 +18,7 @@ using transport::OpType;
 using transport::StorageStatus;
 
 struct SolarFixture {
+  obs::Obs obs;  ///< records spans once a test calls `traced()`
   sim::Engine eng;
   net::Network net{eng, net::NetworkParams{}, 2024};
   net::Clos clos;
@@ -62,6 +65,13 @@ struct SolarFixture {
       ++idx;
     }
     segments.map_disk(1, 64 * sa::SegmentTable::kSegmentBytes, server_ips);
+  }
+
+  /// Records the data path's spans, so `ebs::breakdown` can split I/Os.
+  void traced() { net.set_obs(&obs); }
+
+  ebs::Breakdown breakdown(const IoResult& res) const {
+    return ebs::breakdown(obs.tracer(), res.span);
   }
 
   IoResult run_io(IoRequest io, TimeNs deadline = seconds(60)) {
@@ -169,12 +179,14 @@ TEST(Solar, WriteLatencyIsTensOfMicroseconds) {
 
 TEST(Solar, SaSpanIsMicroscopicComparedToSoftwareSa) {
   SolarFixture f;
+  f.traced();
   Rng rng(4);
   auto res = f.run_io(f.write_io(0, 4096, rng));
   ASSERT_EQ(res.status, StorageStatus::kOk);
-  EXPECT_LT(res.trace.sa_ns, us(10));
-  EXPECT_GT(res.trace.fn_ns, 0);
-  EXPECT_GT(res.trace.ssd_ns, 0);
+  const ebs::Breakdown b = f.breakdown(res);
+  EXPECT_LT(b.sa, us(10));
+  EXPECT_GT(b.fn, 0);
+  EXPECT_GT(b.ssd, 0);
 }
 
 TEST(Solar, LargeWriteUsesOnePacketPerBlock) {
@@ -341,7 +353,7 @@ TEST(Solar, QosThrottlesIops) {
             StorageStatus::kOk);
   auto res = f.run_io(f.write_io(4096, 4096, rng, false));
   EXPECT_EQ(res.status, StorageStatus::kOk);
-  EXPECT_GT(res.trace.qos_wait_ns, us(100));
+  EXPECT_GT(res.qos_wait_ns, us(100));
 }
 
 TEST(Solar, SolarStarPaysPcieAndCpu) {

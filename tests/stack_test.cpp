@@ -234,6 +234,55 @@ TEST(ScenarioSpec, RefusesIllTypedValuesNamingTheKeyPath) {
   }
 }
 
+// A well-typed value `build_scenario` cannot honour is refused at parse time,
+// naming its key: before the range checks these crashed the build (no
+// storage node: a segfault; an empty rack: a division by zero) or ran
+// nothing and exited 0.
+TEST(ScenarioSpec, RefusesOutOfRangeValuesNamingTheKeyPath) {
+  struct Case {
+    const char* json;
+    const char* path;
+  };
+  const Case cases[] = {
+      {R"({"topology":{"storage":0}})", "scenario.topology.storage"},
+      {R"({"topology":{"servers_per_rack":0}})",
+       "scenario.topology.servers_per_rack"},
+      {R"({"topology":{"compute":-1}})", "scenario.topology.compute"},
+      {R"({"topology":{"spines_per_pod":0}})",
+       "scenario.topology.spines_per_pod"},
+      {R"({"topology":{"core_switches":0}})",
+       "scenario.topology.core_switches"},
+      {R"({"topology":{"shards":0}})", "scenario.topology.shards"},
+      {R"({"topology":{"threads":0}})", "scenario.topology.threads"},
+      {R"({"vd_stripe_width":-1})", "scenario.vd_stripe_width"},
+      {R"({"workload":{"iodepth":0}})", "scenario.workload.iodepth"},
+      {R"({"workload":{"read_fraction":1.5}})",
+       "scenario.workload.read_fraction"},
+      {R"({"workload":{"read_fraction":-0.1}})",
+       "scenario.workload.read_fraction"},
+      {R"({"workload":{"poisson_iops":-1}})",
+       "scenario.workload.poisson_iops"},
+  };
+  for (const Case& c : cases) {
+    ScenarioSpec out;
+    std::string err;
+    EXPECT_FALSE(scenario_from_json(c.json, &out, &err)) << c.json;
+    EXPECT_NE(err.find(c.path), std::string::npos) << c.json << ": " << err;
+  }
+  // The edges of each range still parse.
+  ScenarioSpec out;
+  std::string err;
+  EXPECT_TRUE(scenario_from_json(
+      R"({"topology":{"compute":1,"storage":1,"servers_per_rack":1},)"
+      R"("vd_stripe_width":0,)"
+      R"("workload":{"iodepth":1,"read_fraction":0,"poisson_iops":0}})",
+      &out, &err))
+      << err;
+  EXPECT_TRUE(scenario_from_json(R"({"workload":{"read_fraction":1}})", &out,
+                                 &err))
+      << err;
+}
+
 TEST(ScenarioSpec, EcKnobsParseStrictly) {
   ScenarioSpec out;
   std::string err;

@@ -86,7 +86,6 @@ TEST(FioJob, ClosedLoopHoldsIodepth) {
         eng.after(us(10), [&, done = std::move(done)] {
           --inflight;
           done(transport::IoResult{.status = transport::StorageStatus::kOk,
-                                   .trace = {},
                                    .completed_at = eng.now(),
                                    .read_data = {}});
         });
@@ -112,7 +111,6 @@ TEST(FioJob, SequentialOffsetsAdvance) {
         offsets.push_back(io.offset);
         eng.after(us(1), [&eng, done = std::move(done)] {
           done(transport::IoResult{.status = transport::StorageStatus::kOk,
-                                   .trace = {},
                                    .completed_at = eng.now(),
                                    .read_data = {}});
         });
@@ -139,7 +137,6 @@ TEST(FioJob, ReadFractionRespected) {
         (io.op == transport::OpType::kRead ? reads : writes)++;
         eng.after(us(1), [&eng, done = std::move(done)] {
           done(transport::IoResult{.status = transport::StorageStatus::kOk,
-                                   .trace = {},
                                    .completed_at = eng.now(),
                                    .read_data = {}});
         });
@@ -160,7 +157,6 @@ TEST(PoissonLoad, ApproximatesTargetRate) {
       [&](transport::IoRequest, transport::IoCompleteFn done) {
         ++count;
         done(transport::IoResult{.status = transport::StorageStatus::kOk,
-                                 .trace = {},
                                  .completed_at = eng.now(),
                                  .read_data = {}});
       },
