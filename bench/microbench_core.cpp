@@ -1,7 +1,7 @@
 // Core microbenchmarks (google-benchmark): the building blocks whose speed
 // bounds how much simulated traffic the experiment harnesses can push —
-// event engine, packet pool, fabric hot path, flow hashing, histogram
-// recording, and the block cipher.
+// event engine, packet pool, fabric hot path, route table, flow hashing,
+// histogram recording, and the block cipher.
 //
 // Two things distinguish this from a stock benchmark file:
 //  * A global allocation counter (operator new/delete overrides below)
@@ -21,8 +21,10 @@
 #include <functional>
 #include <new>
 #include <queue>
+#include <span>
 #include <string_view>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/histogram.h"
@@ -329,6 +331,72 @@ void BM_FabricPingPong(benchmark::State& state) {
           : 0.0);
 }
 BENCHMARK(BM_FabricPingPong);
+
+// ---------------------------------------------------------------------------
+// Route table on the fleet Clos (500 + 500 servers, 8 per rack, 4 spines per
+// pod, 4 cores: the fleet_sharded shape). BM_ComputeRoutes times the full
+// rebuild that cluster set-up and every reconvergence pay;
+// BM_SwitchRouteLookup times the per-hop ECMP candidate lookup of
+// Switch::receive over random (switch, destination) pairs.
+// ---------------------------------------------------------------------------
+
+struct FleetFabric {
+  sim::Engine eng;
+  net::Network net{eng, net::NetworkParams{}, 1};
+  net::Clos clos;
+
+  FleetFabric() {
+    net::ClosConfig cfg;
+    cfg.compute_servers = 500;
+    cfg.storage_servers = 500;
+    cfg.servers_per_rack = 8;
+    cfg.spines_per_pod = 4;
+    cfg.core_switches = 4;
+    clos = net::build_clos(net, cfg);
+  }
+};
+
+void BM_ComputeRoutes(benchmark::State& state) {
+  FleetFabric f;
+  for (auto _ : state) f.net.compute_routes();
+  state.counters["hosts"] =
+      static_cast<double>(f.clos.compute.size() + f.clos.storage.size());
+}
+BENCHMARK(BM_ComputeRoutes)->Unit(benchmark::kMillisecond);
+
+void BM_SwitchRouteLookup(benchmark::State& state) {
+  FleetFabric f;
+  std::vector<net::DeviceId> switches;
+  std::vector<net::IpAddr> hosts;
+  for (const auto& d : f.net.devices()) {
+    if (d->is_host()) {
+      hosts.push_back(d->id());
+    } else {
+      switches.push_back(d->id());
+    }
+  }
+  constexpr std::size_t kPairs = 4096;
+  std::vector<std::pair<net::DeviceId, net::IpAddr>> pairs;
+  Rng rng(7);
+  for (std::size_t i = 0; i < kPairs; ++i) {
+    pairs.emplace_back(switches[rng.next_below(switches.size())],
+                       hosts[rng.next_below(hosts.size())]);
+  }
+  std::size_t i = 0;
+  std::size_t candidates = 0;
+  for (auto _ : state) {
+    const auto& [sw, dst] = pairs[i++ % kPairs];
+    const std::span<const int> r = f.net.routes(sw, dst);
+    benchmark::DoNotOptimize(r.data());
+    candidates += r.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["candidates_per_lookup"] =
+      state.iterations() > 0 ? static_cast<double>(candidates) /
+                                   static_cast<double>(state.iterations())
+                             : 0.0;
+}
+BENCHMARK(BM_SwitchRouteLookup);
 
 // ---------------------------------------------------------------------------
 // Unchanged building-block benchmarks.

@@ -48,12 +48,14 @@ int main() {
   }
   auto expected = write.payload;
 
+  const TimeNs write_at = engine.now();
   const transport::IoResult write_result =
       ebs::run_io(engine, cluster, std::move(write));
   const ebs::Breakdown w = ebs::breakdown(obs.tracer(), write_result.span);
   std::printf("WRITE: status=%d, %.1f us end-to-end "
               "(SA %.1f | FN %.1f | BN %.1f | SSD %.1f)\n",
-              static_cast<int>(write_result.status), to_us(w.total()),
+              static_cast<int>(write_result.status),
+              to_us(write_result.completed_at - write_at),
               to_us(w.sa), to_us(w.fn), to_us(w.bn), to_us(w.ssd));
 
   // 4. Read it back and verify every byte survived the trip through the
@@ -63,6 +65,7 @@ int main() {
   read.op = transport::OpType::kRead;
   read.offset = 1 << 20;
   read.len = 16384;
+  const TimeNs read_at = engine.now();
   const transport::IoResult read_result =
       ebs::run_io(engine, cluster, std::move(read));
 
@@ -72,7 +75,7 @@ int main() {
   }
   std::printf("READ : status=%d, %.1f us end-to-end, data intact: %s\n",
               static_cast<int>(read_result.status),
-              to_us(ebs::breakdown(obs.tracer(), read_result.span).total()),
+              to_us(read_result.completed_at - read_at),
               intact ? "yes" : "NO");
   return intact ? 0 : 1;
 }

@@ -57,14 +57,19 @@ void visit(const Spans& spans, std::uint64_t id, bool deep, F&& f) {
   }
 }
 
-/// The slowest bs.* and ssd.* below span `id`.
+/// The backend and SSD times of the last bs.* below span `id` to finish:
+/// the server stage its reply waited for.
 std::pair<TimeNs, TimeNs> server(const Spans& spans, std::uint64_t id) {
-  TimeNs bn = 0, ssd = 0;
+  const SpanRecord* last = nullptr;
   visit(spans, id, true, [&](const SpanRecord& s) {
-    if (is(s, "bs.")) bn = std::max(bn, dur(s));
-    if (is(s, "ssd.")) ssd = std::max(ssd, dur(s));
+    if (is(s, "bs.") && (last == nullptr || s.t1 > last->t1)) last = &s;
   });
-  return {bn, ssd};
+  if (last == nullptr) return {0, 0};
+  TimeNs ssd = 0;
+  visit(spans, last->id, false, [&](const SpanRecord& s) {
+    if (is(s, "ssd.")) ssd = dur(s);
+  });
+  return {dur(*last), ssd};
 }
 
 }  // namespace
@@ -83,54 +88,61 @@ Breakdown breakdown(const obs::Tracer& tracer, std::uint64_t root) {
   });
   std::stable_sort(spans.begin(), spans.end(), by_parent);
 
+  // The round trip that lands last is the I/O's critical path: FN, BN and
+  // SSD all come from it (BN and SSD from its last server stage, FN the
+  // rest of its time), so no two components overlap.
   Breakdown b;
-  std::tie(b.bn, b.ssd) = server(spans, root);
+  TimeNs critical = -1;
+  auto round_trip = [&](const SpanRecord& s, TimeNs wall, TimeNs landed) {
+    if (landed <= critical) return;
+    critical = landed;
+    std::tie(b.bn, b.ssd) = server(spans, s.id);
+    b.fn = wall - b.bn - b.ssd;
+  };
   // Kernel TCP, LUNA, RDMA: the agent's CPU before the RPCs and after the
   // last response (sa.cpu, sa.post) is the SA; each rpc.* is one frontend
   // round trip around the block server's bs.* > ssd.*.
   bool sa_stack = false;
   visit(spans, root, false, [&](const SpanRecord& s) {
-    if (!is(s, "sa.")) return;
-    sa_stack = true;
-    b.sa += dur(s);
+    if (is(s, "sa.")) {
+      sa_stack = true;
+      b.sa += dur(s);
+    }
   });
-  // A round trip's frontend share is its time less the server stages below.
-  auto frontend = [&](const SpanRecord& s, TimeNs wall) {
-    const auto [bn, ssd] = server(spans, s.id);
-    b.fn = std::max(b.fn, wall - bn - ssd);
-  };
   if (sa_stack) {
     visit(spans, root, false, [&](const SpanRecord& s) {
-      if (is(s, "rpc.")) frontend(s, dur(s));
+      if (is(s, "rpc.")) round_trip(s, dur(s), s.t1);
     });
     return b;
   }
   // SOLAR: the DPU holds the I/O from admission until its first block
   // leaves (blk.net* start) and from its last network arrival (a write's
-  // ACKs and response, a read block reaching the DPU, a timeout) until
-  // completion. FN is, per write RPC, issue to response and, per read
-  // block, request to landing, less the server stages below. Duplicate and
+  // ACKs and response, a read block reaching the NIC, a timeout) until
+  // completion. A round trip is a write RPC, from its first transmit to
+  // its response, or a read block, whose blk.net ends at NIC arrival
+  // (blk.rx, the landing after it, is the DPU's). Duplicate and
   // read-request ACKs have no span; without faults neither arrives last.
   const bool read = std::string_view(io->name) == "io.read";
   TimeNs admitted = io->t0, first_tx = io->t1, last_rx = io->t0;
   visit(spans, root, false, [&](const SpanRecord& rpc) {
     if (is(rpc, "qos.wait")) admitted = rpc.t1;
+    TimeNs rpc_tx = io->t1;
+    const SpanRecord* resp = nullptr;
     visit(spans, rpc.id, false, [&](const SpanRecord& s) {
       const std::string_view n = s.name;
-      if (n == "blk.net" || n == "blk.net.timeout") {
-        first_tx = std::min(first_tx, s.t0);
-        if (read && n == "blk.net") {
-          frontend(s, dur(s));
-        } else {
-          last_rx = std::max(last_rx, s.t1);
-        }
-      }
-      if (n == "blk.rx") last_rx = std::max(last_rx, s.t0);
-      if (n == "resp.net") {
+      if (is(s, "blk.net")) {  // and blk.net.timeout
+        rpc_tx = std::min(rpc_tx, s.t0);
         last_rx = std::max(last_rx, s.t1);
-        frontend(rpc, s.t1 - rpc.t0);
+        if (read && n == "blk.net") round_trip(s, dur(s), s.t1);
+      } else if (n == "blk.rx") {  // also a block the CRC check refused
+        last_rx = std::max(last_rx, s.t0);
+      } else if (n == "resp.net") {
+        resp = &s;
+        last_rx = std::max(last_rx, s.t1);
       }
     });
+    first_tx = std::min(first_tx, rpc_tx);
+    if (resp != nullptr) round_trip(rpc, resp->t1 - rpc_tx, resp->t1);
   });
   // With no network event at all, the whole admitted time is the DPU's.
   first_tx = std::min(first_tx, last_rx);

@@ -70,9 +70,11 @@ struct Breakdown {
 };
 
 /// The breakdown of the I/O whose root span is `root` (its `IoResult::span`),
-/// derived from the spans `tracer` retains. Throws std::runtime_error, never
-/// splits part of a tree, when the I/O was not traced, its root is gone or
-/// the ring overwrote a span that started during the I/O.
+/// derived from the spans `tracer` retains. FN, BN and SSD come from the
+/// round trip that lands last, so the four add up to at most the I/O's wall
+/// time. Throws std::runtime_error, never splits part of a tree, when the
+/// I/O was not traced, its root is gone or the ring overwrote a span that
+/// started during the I/O.
 Breakdown breakdown(const obs::Tracer& tracer, std::uint64_t root);
 
 }  // namespace repro::ebs

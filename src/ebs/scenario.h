@@ -86,6 +86,8 @@ struct ScenarioSpec {
 // value `build_scenario` cannot honour (no storage node, an empty rack,
 // a fraction above 1) is refused here, naming its key.
 inline constexpr const char* kAtLeastOne = "must be at least 1";
+inline constexpr const char* kEcmpWidth = "must be in [1, 16]";
+static_assert(net::kMaxEcmpWidth == 16, "kEcmpWidth names the ECMP cap");
 
 template <class V>
 void fields(V& v, VdSpec& vd) {
@@ -119,10 +121,16 @@ void fields(V& v, ScenarioSpec& s) {
     t.check("storage", s.storage_nodes >= 1, kAtLeastOne);
     t.field("servers_per_rack", s.servers_per_rack);
     t.check("servers_per_rack", s.servers_per_rack >= 1, kAtLeastOne);
+    // Each is the ECMP fan-out of some switch (ToR and core up to the
+    // spines, spine up to the cores), which a switch caps per destination.
     t.field("spines_per_pod", s.spines_per_pod);
-    t.check("spines_per_pod", s.spines_per_pod >= 1, kAtLeastOne);
+    t.check("spines_per_pod",
+            s.spines_per_pod >= 1 && s.spines_per_pod <= net::kMaxEcmpWidth,
+            kEcmpWidth);
     t.field("core_switches", s.core_switches);
-    t.check("core_switches", s.core_switches >= 1, kAtLeastOne);
+    t.check("core_switches",
+            s.core_switches >= 1 && s.core_switches <= net::kMaxEcmpWidth,
+            kEcmpWidth);
     // Written only when sharded so single-engine specs round-trip unchanged.
     t.field_if(s.shards != 1, "shards", s.shards);
     t.check("shards", s.shards >= 1, kAtLeastOne);

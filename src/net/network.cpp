@@ -1,7 +1,8 @@
 #include "net/network.h"
 
 #include <algorithm>
-#include <queue>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace repro::net {
@@ -348,7 +349,7 @@ void Network::schedule_reconvergence() {
   reconvergence_pending_ = true;
   auto reconverge = [this] {
     reconvergence_pending_ = false;
-    compute_routes();
+    build_routes();
   };
   if (sharded_ != nullptr && sharded_->shards() > 1) {
     sharded_->post_global_at(sharded_->now() + params_.reconverge_delay,
@@ -418,56 +419,73 @@ void Network::set_reorder(Device& dev, double p, TimeNs delay) {
 }
 
 void Network::compute_routes() {
-  routes_.clear();
-  // BFS from every host over the control-plane-visible (detected-up) graph.
-  for (const auto& host : devices_) {
-    if (!host->is_host()) continue;
-    std::unordered_map<DeviceId, int> dist;
-    dist[host->id()] = 0;
-    std::queue<Device*> frontier;
-    frontier.push(host.get());
-    while (!frontier.empty()) {
-      Device* d = frontier.front();
-      frontier.pop();
-      const int dd = dist[d->id()];
-      // Packets never transit through another host.
-      if (d->is_host() && d != host.get()) continue;
-      for (int i = 0; i < d->num_ports(); ++i) {
-        const Port& p = d->port(i);
-        if (!p.detected_up()) continue;
-        Device* n = p.peer();
-        if (dist.contains(n->id())) continue;
-        dist[n->id()] = dd + 1;
-        frontier.push(n);
-      }
-    }
-    const IpAddr dst = host->id();
-    for (const auto& dev : devices_) {
-      if (dev.get() == host.get()) continue;
-      auto it = dist.find(dev->id());
-      if (it == dist.end()) continue;
-      std::vector<int> next_hops;
-      for (int i = 0; i < dev->num_ports(); ++i) {
-        const Port& p = dev->port(i);
-        if (!p.detected_up()) continue;
-        auto pit = dist.find(p.peer()->id());
-        if (pit == dist.end()) continue;
-        if (pit->second == it->second - 1 &&
-            (p.peer()->is_host() ? p.peer()->id() == dst : true)) {
-          next_hops.push_back(i);
-        }
-      }
-      if (!next_hops.empty()) routes_[dev->id()][dst] = std::move(next_hops);
-    }
+  const std::size_t widest = build_routes();
+  if (widest > static_cast<std::size_t>(kMaxEcmpWidth)) {
+    throw std::invalid_argument(
+        "compute_routes: a switch has " + std::to_string(widest) +
+        " ECMP candidates toward one host, at most " +
+        std::to_string(kMaxEcmpWidth) + " are supported");
   }
 }
 
-const std::vector<int>* Network::routes(DeviceId dev, IpAddr dst) const {
-  auto it = routes_.find(dev);
-  if (it == routes_.end()) return nullptr;
-  auto jt = it->second.find(dst);
-  if (jt == it->second.end()) return nullptr;
-  return &jt->second;
+std::size_t Network::build_routes() {
+  // Ids are 1..N in creation order, so devices_[id - 1] has id `id`.
+  const std::size_t ids = devices_.size() + 1;
+  row_of_.assign(ids, -1);
+  col_of_.assign(ids, -1);
+  std::vector<const Device*> switches;
+  std::vector<const Device*> hosts;
+  for (const auto& d : devices_) {
+    std::vector<const Device*>& group = d->is_host() ? hosts : switches;
+    (d->is_host() ? col_of_ : row_of_)[d->id()] =
+        static_cast<int>(group.size());
+    group.push_back(d.get());
+  }
+  num_cols_ = hosts.size();
+  cells_.assign(switches.size() * num_cols_, Cell{});
+  route_ports_.clear();
+  std::size_t widest = 0;
+
+  // BFS from every host over the control-plane-visible (detected-up) graph.
+  std::vector<int> dist(ids);
+  std::vector<const Device*> frontier;
+  frontier.reserve(ids);
+  for (std::size_t col = 0; col < hosts.size(); ++col) {
+    const Device* host = hosts[col];
+    std::fill(dist.begin(), dist.end(), -1);
+    dist[host->id()] = 0;
+    frontier.assign(1, host);
+    for (std::size_t head = 0; head < frontier.size(); ++head) {
+      const Device* d = frontier[head];
+      // Packets never transit through another host.
+      if (d->is_host() && d != host) continue;
+      for (int i = 0; i < d->num_ports(); ++i) {
+        const Port& p = d->port(i);
+        if (!p.detected_up() || dist[p.peer()->id()] >= 0) continue;
+        dist[p.peer()->id()] = dist[d->id()] + 1;
+        frontier.push_back(p.peer());
+      }
+    }
+    for (std::size_t row = 0; row < switches.size(); ++row) {
+      const Device* sw = switches[row];
+      const int ds = dist[sw->id()];
+      if (ds < 0) continue;
+      const std::size_t begin = route_ports_.size();
+      for (int i = 0; i < sw->num_ports(); ++i) {
+        const Port& p = sw->port(i);
+        if (!p.detected_up()) continue;
+        const Device* n = p.peer();
+        if (dist[n->id()] == ds - 1 && (!n->is_host() || n == host)) {
+          route_ports_.push_back(i);
+        }
+      }
+      const std::size_t count = route_ports_.size() - begin;
+      widest = std::max(widest, count);
+      cells_[row * num_cols_ + col] = Cell{static_cast<std::uint32_t>(begin),
+                                           static_cast<std::uint32_t>(count)};
+    }
+  }
+  return widest;
 }
 
 }  // namespace repro::net

@@ -23,8 +23,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -42,6 +42,12 @@ namespace repro::net {
 
 class Device;
 class Network;
+
+/// ECMP candidates a switch can hold toward one destination (the size of
+/// `Switch::receive`'s live-port set). `Network::compute_routes` refuses a
+/// fabric that needs more; a wider detour set that failures open up is
+/// narrowed to its first kMaxEcmpWidth live ports.
+inline constexpr int kMaxEcmpWidth = 16;
 
 struct LinkState {
   bool alive = true;
@@ -227,12 +233,24 @@ class Network {
             TimeNs prop_delay, std::uint64_t queue_capacity = 0);
 
   /// (Re)computes shortest-path ECMP routes from the currently *detected*
-  /// topology. Must be called once after building the topology.
+  /// topology. Must be called once after building the topology. Throws
+  /// std::invalid_argument if a switch has more than kMaxEcmpWidth
+  /// candidates toward one host. Reconvergence after a fault rebuilds the
+  /// table without that check (see kMaxEcmpWidth).
   void compute_routes();
 
-  /// ECMP candidate ports at `dev` toward host `dst` (from the last route
-  /// computation). nullptr if unreachable.
-  const std::vector<int>* routes(DeviceId dev, IpAddr dst) const;
+  /// ECMP candidate ports, ascending, at switch `dev` toward host `dst`
+  /// (from the last route computation). Empty if unreachable, or if `dev`
+  /// is not a switch or `dst` not a host.
+  std::span<const int> routes(DeviceId dev, IpAddr dst) const {
+    if (dev >= row_of_.size() || dst >= col_of_.size()) return {};
+    const int row = row_of_[dev];
+    const int col = col_of_[dst];
+    if (row < 0 || col < 0) return {};
+    const Cell c = cells_[static_cast<std::size_t>(row) * num_cols_ +
+                          static_cast<std::size_t>(col)];
+    return {route_ports_.data() + c.begin, c.count};
+  }
 
   // --- failure injection -------------------------------------------------
   void fail_link(Device& dev, int port);
@@ -333,6 +351,8 @@ class Network {
   void set_link_alive(Device& dev, int port, bool alive);
   void set_link_alive_now(Device& dev, int port, bool alive);
   void schedule_reconvergence();
+  /// Rebuilds the route table; returns the widest cell's candidate count.
+  std::size_t build_routes();
 
   sim::Engine* engine_;
   sim::ShardedEngine* sharded_ = nullptr;
@@ -343,9 +363,22 @@ class Network {
   DeviceId next_device_id_ = 1;
   TimeNs min_cross_shard_prop_ = -1;
   bool reconvergence_pending_ = false;
-  // routes_[device id][dst ip] -> egress ports on shortest paths.
-  std::unordered_map<DeviceId, std::unordered_map<IpAddr, std::vector<int>>>
-      routes_;
+
+  // The route table. Device ids are dense (1..N) and a host's IpAddr is its
+  // DeviceId, so ids index two vectors: `row_of_` gives each switch a row,
+  // `col_of_` each host a column (-1 otherwise). Cell (row, col) is a slice
+  // of `route_ports_`: the egress ports on shortest paths toward that host.
+  // Read-only between rebuilds, which happen only at build time or at a
+  // reconvergence (a barrier under sharding), so shards read it unlocked.
+  struct Cell {
+    std::uint32_t begin = 0;
+    std::uint32_t count = 0;
+  };
+  std::vector<int> row_of_;
+  std::vector<int> col_of_;
+  std::size_t num_cols_ = 0;
+  std::vector<Cell> cells_;
+  std::vector<int> route_ports_;
 };
 
 }  // namespace repro::net

@@ -56,18 +56,15 @@ void Switch::register_metrics(obs::Registry& reg) const {
 
 void Switch::receive(PacketPtr pkt, int in_port) {
   (void)in_port;
-  const std::vector<int>* candidates =
+  const std::span<const int> candidates =
       network().routes(id(), pkt->flow.dst_ip);
-  if (candidates == nullptr || candidates->empty()) {
-    ++network().drops().no_route;
-    return;
-  }
   // Fast local exclusion: between carrier detection and routing
-  // reconvergence, skip ports we already know are down.
-  int live[16];
+  // reconvergence, skip ports we already know are down. A detour set that
+  // failures widened past kMaxEcmpWidth keeps its first live ports.
+  int live[kMaxEcmpWidth];
   int n_live = 0;
-  for (int p : *candidates) {
-    if (port(p).detected_up() && n_live < 16) live[n_live++] = p;
+  for (int p : candidates) {
+    if (port(p).detected_up() && n_live < kMaxEcmpWidth) live[n_live++] = p;
   }
   if (n_live == 0) {
     ++network().drops().no_route;
@@ -76,8 +73,8 @@ void Switch::receive(PacketPtr pkt, int in_port) {
   const std::uint64_t h = flow_hash(pkt->flow, salt_);
   // Count flows that the live-port filter moved off their nominal hash
   // choice — observation only, the selection below is unchanged.
-  if (n_live != static_cast<int>(candidates->size()) &&
-      !port((*candidates)[h % candidates->size()]).detected_up()) {
+  if (n_live != static_cast<int>(candidates.size()) &&
+      !port(candidates[h % candidates.size()]).detected_up()) {
     ++ecmp_rehashes_;
   }
   const int egress = live[h % static_cast<std::uint64_t>(n_live)];

@@ -672,8 +672,9 @@ void SolarClient::handle_read_response(const Frame& f,
       }
       stt.arrived = true;
       if (obs::Tracer* t = trc()) {
-        t->span_with_id(stt.span, "blk.net", rpc->span, stt.sent_at,
-                        engine_.now(), nic_.id(), stt.port, "pkt", pkt_id);
+        // The network leg ends at the NIC; blk.rx above is the landing.
+        t->span_with_id(stt.span, "blk.net", rpc->span, stt.sent_at, rx_at,
+                        nic_.id(), stt.port, "pkt", pkt_id);
       }
       if (stt.timer != 0) {
         engine_.cancel(stt.timer);

@@ -77,10 +77,11 @@ void BlockServer::handle_write(StorageRequest request,
     offset_in_segment += blk.len;
   }
 
+  // The reply reports the last replica's backend and SSD times: the two
+  // add up to the stage's duration (maxima over different replicas would
+  // overstate it).
   struct Fanout {
     int remaining;
-    TimeNs max_bn = 0;
-    TimeNs max_ssd = 0;
     std::function<void(StorageResponse)> reply;
   };
   auto st = std::make_shared<Fanout>();
@@ -96,13 +97,11 @@ void BlockServer::handle_write(StorageRequest request,
       ssd->write(len, [this, st, bn, ssd_start] {
         const TimeNs ssd_span = engine_.now() - ssd_start;
         engine_.after(bn / 2, [st, bn, ssd_span] {
-          st->max_bn = std::max(st->max_bn, bn);
-          st->max_ssd = std::max(st->max_ssd, ssd_span);
           if (--st->remaining == 0) {
             StorageResponse resp;
             resp.status = StorageStatus::kOk;
-            resp.server_bn_ns = st->max_bn;
-            resp.server_ssd_ns = st->max_ssd;
+            resp.server_bn_ns = bn;
+            resp.server_ssd_ns = ssd_span;
             st->reply(std::move(resp));
           }
         });
@@ -125,10 +124,8 @@ void BlockServer::write_block(std::uint64_t segment_id, std::uint64_t offset,
     done(StorageStatus::kOutOfRange, 0, 0);
     return;
   }
-  struct Fanout {
+  struct Fanout {  // reports the last replica's times, as in handle()
     int remaining;
-    TimeNs max_bn = 0;
-    TimeNs max_ssd = 0;
     BlockWriteFn done;
   };
   auto st = std::make_shared<Fanout>();
@@ -142,11 +139,7 @@ void BlockServer::write_block(std::uint64_t segment_id, std::uint64_t offset,
       ssd->write(len, [this, st, bn, ssd_start] {
         const TimeNs ssd_span = engine_.now() - ssd_start;
         engine_.after(bn / 2, [st, bn, ssd_span] {
-          st->max_bn = std::max(st->max_bn, bn);
-          st->max_ssd = std::max(st->max_ssd, ssd_span);
-          if (--st->remaining == 0) {
-            st->done(StorageStatus::kOk, st->max_bn, st->max_ssd);
-          }
+          if (--st->remaining == 0) st->done(StorageStatus::kOk, bn, ssd_span);
         });
       });
     });

@@ -60,6 +60,8 @@ struct StorageResponse {
   std::uint64_t rpc_id = 0;
   StorageStatus status = StorageStatus::kOk;
   std::vector<DataBlock> blocks;  ///< read payload; empty for writes
+  // The server stage's split (of the replica that finished last, so the
+  // two add up to the stage's duration).
   TimeNs server_bn_ns = 0;        ///< backend-network span at the server
   TimeNs server_ssd_ns = 0;       ///< chunk/SSD span at the server
 

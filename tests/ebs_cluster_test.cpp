@@ -109,9 +109,11 @@ INSTANTIATE_TEST_SUITE_P(AllStacks, ClusterStacks,
                            return n;
                          });
 
-// A 4 KB write and its read-back on an SA stack (LUNA) and on SOLAR: every
-// component derived from the I/O's spans is positive, and an SA stack's
-// components add up to the I/O's wall latency exactly.
+// A write and its read-back on an SA stack (LUNA) and on SOLAR, of one
+// block (4 KB) and of four (16 KB, where each SOLAR block is its own round
+// trip): every component derived from the I/O's spans is positive, an SA
+// stack's components add up to the I/O's wall latency exactly, and SOLAR's
+// to at most it (no interval is counted twice).
 TEST(Breakdown, DerivedFromSpansForReadsAndWrites) {
   for (StackKind stack : {StackKind::kLuna, StackKind::kSolar}) {
     obs::Obs obs;
@@ -120,28 +122,29 @@ TEST(Breakdown, DerivedFromSpansForReadsAndWrites) {
     params.obs = &obs;
     Cluster cluster(eng, params);
     const std::uint64_t vd = cluster.create_vd(1ull << 30);
-    for (OpType op : {OpType::kWrite, OpType::kRead}) {
-      SCOPED_TRACE(to_string(stack) +
-                   (op == OpType::kWrite ? " write" : " read"));
-      const TimeNs issued = eng.now();
-      const IoResult res = run_one_io(
-          eng, cluster,
-          op == OpType::kWrite ? write_io(vd, 0, 4096) : read_io(vd, 0, 4096));
-      ASSERT_EQ(res.status, StorageStatus::kOk);
-      const Breakdown b = breakdown(obs.tracer(), res.span);
-      EXPECT_GT(b.sa, 0);
-      EXPECT_GT(b.fn, 0);
-      EXPECT_GT(b.bn, 0);
-      EXPECT_GT(b.ssd, 0);
-      const TimeNs wall = res.completed_at - issued;
-      if (stack != StackKind::kSolar) {
-        EXPECT_EQ(b.total(), wall);
+    for (std::uint32_t len : {4096u, 16384u}) {
+      for (OpType op : {OpType::kWrite, OpType::kRead}) {
+        SCOPED_TRACE(to_string(stack) +
+                     (op == OpType::kWrite ? " write " : " read ") +
+                     std::to_string(len));
+        const TimeNs issued = eng.now();
+        const IoResult res = run_one_io(
+            eng, cluster,
+            op == OpType::kWrite ? write_io(vd, 0, len) : read_io(vd, 0, len));
+        ASSERT_EQ(res.status, StorageStatus::kOk);
+        const Breakdown b = breakdown(obs.tracer(), res.span);
+        EXPECT_GT(b.sa, 0);
+        EXPECT_GT(b.fn, 0);
+        EXPECT_GT(b.bn, 0);
+        EXPECT_GT(b.ssd, 0);
+        const TimeNs wall = res.completed_at - issued;
+        if (stack != StackKind::kSolar) {
+          EXPECT_EQ(b.total(), wall);
+        } else {
+          // SOLAR's components are disjoint parts of the I/O.
+          EXPECT_LE(b.total(), wall);
+        }
       }
-      // Known defect, kept off until it is mended: SOLAR's split counts one
-      // interval twice (a write's DPU issue time is in SA and in FN, a read
-      // block's landing in FN and in SA), so its sum exceeds the wall time
-      // (the FOUND entry in CHANGES.md). The mend turns this on for SOLAR:
-      //   EXPECT_LE(b.total(), wall);
     }
   }
 }

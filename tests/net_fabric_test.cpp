@@ -1,13 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <queue>
 #include <set>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "net/nic.h"
 #include "net/packet.h"
 #include "net/switch.h"
 #include "net/topology.h"
 #include "sim/engine.h"
+#include "sim/sharded.h"
 
 namespace repro::net {
 namespace {
@@ -403,6 +412,211 @@ TEST(Clos, BaseRttIsAFewMicroseconds) {
   // matching the paper's 8.3us base RTT once stack overheads are added.
   EXPECT_LT(rtt, us(12));
   EXPECT_GT(rtt, us(4));
+}
+
+// --- route table ----------------------------------------------------------
+
+// Reference routing: the nested-hash-map BFS the flat route table replaced,
+// kept as an oracle. Every device (NICs too) toward every host: the
+// detected-up ports one hop closer to the host, in ascending port order.
+// Packets never transit another host.
+std::map<std::pair<DeviceId, IpAddr>, std::vector<int>> reference_routes(
+    const Network& net) {
+  std::map<std::pair<DeviceId, IpAddr>, std::vector<int>> out;
+  for (const auto& host : net.devices()) {
+    if (!host->is_host()) continue;
+    std::unordered_map<DeviceId, int> dist;
+    dist[host->id()] = 0;
+    std::queue<const Device*> frontier;
+    frontier.push(host.get());
+    while (!frontier.empty()) {
+      const Device* d = frontier.front();
+      frontier.pop();
+      const int dd = dist[d->id()];
+      if (d->is_host() && d != host.get()) continue;
+      for (int i = 0; i < d->num_ports(); ++i) {
+        const Port& p = d->port(i);
+        if (!p.detected_up() || dist.contains(p.peer()->id())) continue;
+        dist[p.peer()->id()] = dd + 1;
+        frontier.push(p.peer());
+      }
+    }
+    for (const auto& dev : net.devices()) {
+      if (dev == host) continue;
+      auto it = dist.find(dev->id());
+      if (it == dist.end()) continue;
+      std::vector<int> hops;
+      for (int i = 0; i < dev->num_ports(); ++i) {
+        const Port& p = dev->port(i);
+        if (!p.detected_up()) continue;
+        auto pit = dist.find(p.peer()->id());
+        if (pit != dist.end() && pit->second == it->second - 1 &&
+            (!p.peer()->is_host() || p.peer() == host.get())) {
+          hops.push_back(i);
+        }
+      }
+      if (!hops.empty()) out[{dev->id(), host->id()}] = std::move(hops);
+    }
+  }
+  return out;
+}
+
+// Every (switch, host) cell equals the reference, candidate order included;
+// hosts have no rows. Returns the number of cells compared.
+std::size_t expect_routes_match_reference(const Network& net) {
+  const auto ref = reference_routes(net);
+  std::size_t cells = 0;
+  std::size_t mismatches = 0;
+  std::string first;
+  for (const auto& dev : net.devices()) {
+    for (const auto& host : net.devices()) {
+      if (!host->is_host()) continue;
+      const std::span<const int> got = net.routes(dev->id(), host->id());
+      if (dev->is_host()) {
+        if (!got.empty()) ++mismatches;
+        continue;
+      }
+      ++cells;
+      auto it = ref.find({dev->id(), host->id()});
+      const std::vector<int> want =
+          it == ref.end() ? std::vector<int>{} : it->second;
+      if (!std::equal(got.begin(), got.end(), want.begin(), want.end())) {
+        if (mismatches++ == 0) first = dev->name() + " -> " + host->name();
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "first mismatch: " << first;
+  return cells;
+}
+
+ClosConfig clos_shape(int compute, int storage, int per_rack, int spines,
+                      int cores) {
+  ClosConfig cfg;
+  cfg.compute_servers = compute;
+  cfg.storage_servers = storage;
+  cfg.servers_per_rack = per_rack;
+  cfg.spines_per_pod = spines;
+  cfg.core_switches = cores;
+  return cfg;
+}
+
+TEST(RouteTable, MatchesReferenceBfsAcrossShapes) {
+  const ClosConfig shapes[] = {
+      ClosConfig{},
+      clos_shape(6, 6, 3, 2, 2),
+      clos_shape(10, 7, 4, 3, 5),  // partial racks, odd fan-outs
+      clos_shape(16, 24, 8, 16, 16),  // the widest ECMP a switch holds
+  };
+  for (const ClosConfig& cfg : shapes) {
+    Fixture f;
+    const Clos clos = build_clos(f.net, cfg);
+    const std::size_t switches = clos.compute_tors.size() +
+                                 clos.storage_tors.size() +
+                                 clos.compute_spines.size() +
+                                 clos.storage_spines.size() + clos.cores.size();
+    EXPECT_EQ(expect_routes_match_reference(f.net),
+              switches * (clos.compute.size() + clos.storage.size()));
+  }
+}
+
+TEST(RouteTable, MatchesReferenceAfterFailuresAndRepair) {
+  Fixture f;
+  const Clos clos = build_clos(f.net, clos_shape(8, 8, 4, 3, 3));
+  // A ToR uplink, a whole storage spine and one server's uplink go down.
+  f.net.fail_link(*clos.compute_tors[1], clos.config.servers_per_rack + 2);
+  f.net.fail_device_stop(*clos.storage_spines[0]);
+  f.net.fail_link(*clos.storage[5], 0);
+  f.eng.run();  // detection + reconvergence
+  expect_routes_match_reference(f.net);
+  EXPECT_EQ(f.net.routes(clos.storage_tors[0]->id(), clos.compute[0]->ip())
+                .size(),
+            2u);  // storage spines 1 and 2 remain
+  f.net.repair_device(*clos.storage_spines[0]);
+  f.eng.run();
+  expect_routes_match_reference(f.net);
+  EXPECT_EQ(f.net.routes(clos.storage_tors[0]->id(), clos.compute[0]->ip())
+                .size(),
+            3u);
+}
+
+// Failures can widen a switch's shortest next hops past what it holds: in a
+// 10-rack pod with spine0's rack-0 link and ToR1 down, spine0 reaches rack 0
+// through every other ToR and both cores (20 ports). Reconvergence keeps the
+// wide cell, and the switch forwards over its first kMaxEcmpWidth live ports.
+TEST(RouteTable, ReconvergenceKeepsDetoursWiderThanASwitchHolds) {
+  Fixture f;
+  const Clos clos = build_clos(f.net, clos_shape(80, 8, 8, 2, 2));
+  Switch* spine0 = clos.compute_spines[0];
+  Nic* dst = clos.compute[0];
+  f.net.fail_link(*spine0, 0);
+  f.net.fail_device_stop(*clos.compute_tors[1]);
+  EXPECT_NO_THROW(f.eng.run());  // detection + reconvergence
+  expect_routes_match_reference(f.net);
+  ASSERT_EQ(f.net.routes(spine0->id(), dst->ip()).size(), 20u);
+
+  int delivered = 0;
+  dst->set_deliver([&](Packet&) { ++delivered; });
+  const std::uint64_t no_route = f.net.drops().no_route;
+  f.eng.at(f.eng.now(), [&] {
+    for (std::uint16_t sport = 1; sport <= 64; ++sport) {
+      PacketPtr p = f.net.make_packet();
+      *p = make_pkt(clos.storage[0]->ip(), dst->ip(), sport, 2, 200);
+      clos.cores[0]->send(0, std::move(p));  // core0 port 0 is spine0's link
+    }
+  });
+  f.eng.run();
+  EXPECT_EQ(delivered, 64);
+  EXPECT_EQ(f.net.drops().no_route, no_route);
+}
+
+TEST(RouteTable, MatchesReferenceOnTwoShards) {
+  sim::ShardedEngine se(2);
+  Network net(se, NetworkParams{}, 12345);
+  ClosConfig cfg = clos_shape(8, 8, 4, 2, 3);
+  cfg.shards = 2;
+  const Clos clos = build_clos(net, cfg);
+  se.set_lookahead(net.min_cross_shard_prop());
+  expect_routes_match_reference(net);
+  // Flipped at a barrier, rebuilt by the reconvergence at a later one.
+  net.fail_link(*clos.cores[1], 0);
+  net.fail_device_stop(*clos.compute_tors[2]);
+  se.run();
+  expect_routes_match_reference(net);
+  EXPECT_TRUE(
+      net.routes(clos.compute_tors[2]->id(), clos.storage[0]->ip()).empty());
+}
+
+TEST(RouteTable, UnreachableHostIsEmptyAndDropsOnceAsNoRoute) {
+  Fixture f;
+  const Clos clos = build_clos(f.net, ClosConfig{});
+  Nic* src = clos.compute[0];
+  Nic* dst = clos.storage[3];
+  f.net.fail_device_stop(*dst);
+  f.eng.run();  // both uplinks detected down, routes recomputed
+  for (const auto& dev : f.net.devices()) {
+    EXPECT_TRUE(f.net.routes(dev->id(), dst->ip()).empty()) << dev->name();
+  }
+  // An address no host holds has no cell at all.
+  const IpAddr nowhere = static_cast<IpAddr>(f.net.devices().size() + 100);
+  EXPECT_TRUE(f.net.routes(clos.cores[0]->id(), nowhere).empty());
+
+  const std::uint64_t before = f.net.drops().no_route;
+  f.eng.at(f.eng.now(), [&] {
+    src->send_packet(make_pkt(src->ip(), dst->ip(), 1, 2, 200));
+  });
+  f.eng.run();
+  EXPECT_EQ(f.net.drops().no_route, before + 1);  // at the first ToR
+  f.eng.at(f.eng.now(), [&] {
+    src->send_packet(make_pkt(src->ip(), nowhere, 1, 2, 200));
+  });
+  f.eng.run();
+  EXPECT_EQ(f.net.drops().no_route, before + 2);
+}
+
+TEST(RouteTable, RefusesEcmpWiderThanASwitchHolds) {
+  Fixture f;
+  EXPECT_THROW(build_clos(f.net, clos_shape(8, 8, 8, 2, kMaxEcmpWidth + 1)),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -252,6 +252,11 @@ TEST(ScenarioSpec, RefusesOutOfRangeValuesNamingTheKeyPath) {
        "scenario.topology.spines_per_pod"},
       {R"({"topology":{"core_switches":0}})",
        "scenario.topology.core_switches"},
+      // Wider than a switch's ECMP set: routes would narrow silently.
+      {R"({"topology":{"spines_per_pod":17}})",
+       "scenario.topology.spines_per_pod"},
+      {R"({"topology":{"core_switches":17}})",
+       "scenario.topology.core_switches"},
       {R"({"topology":{"shards":0}})", "scenario.topology.shards"},
       {R"({"topology":{"threads":0}})", "scenario.topology.threads"},
       {R"({"vd_stripe_width":-1})", "scenario.vd_stripe_width"},
@@ -280,6 +285,9 @@ TEST(ScenarioSpec, RefusesOutOfRangeValuesNamingTheKeyPath) {
       << err;
   EXPECT_TRUE(scenario_from_json(R"({"workload":{"read_fraction":1}})", &out,
                                  &err))
+      << err;
+  EXPECT_TRUE(scenario_from_json(
+      R"({"topology":{"spines_per_pod":16,"core_switches":16}})", &out, &err))
       << err;
 }
 
